@@ -20,9 +20,7 @@ use std::fmt::Write as _;
 fn cold_run(app: &App, cfg: WorldConfig) -> (MpiWorld, u64) {
     let mut w = MpiWorld::new(&app.image, cfg);
     assert_eq!(w.run(), WorldExit::Clean);
-    let insns = (0..app.params.nranks)
-        .map(|r| w.machine(r).counters.insns)
-        .sum();
+    let insns = fl_inject::world_insns(&w);
     (w, insns)
 }
 

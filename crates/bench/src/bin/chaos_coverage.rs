@@ -18,78 +18,14 @@
 //! shrink recovery must recover at least 90 % of manifesting node
 //! kills.
 
-use fl_apps::{App, AppKind, AppParams};
-use fl_bench::{emit, injections_from_args};
-use fl_inject::{chaos_jsonl, render_chaos, render_chaos_tsv, CampaignBuilder, ChaosPolicy};
+use fl_apps::AppKind;
+use fl_inject::ChaosPolicy;
 
 fn main() {
-    let injections = injections_from_args(10);
-    let seed = 0x51C2;
-    let policy = ChaosPolicy::default();
-    let apps = [AppKind::Wavetoy, AppKind::Jacobi3d];
-    let mut texts = Vec::new();
-    let mut tsvs = Vec::new();
-    let mut jsonls = Vec::new();
-    let mut broken = Vec::new();
-    for kind in apps {
-        eprintln!(
-            "chaos_coverage: {} x {injections} injections per model x defense cell ...",
-            kind.name()
-        );
-        let app = App::build(kind, AppParams::tiny(kind));
-        let result = CampaignBuilder::new(&app)
-            .injections(injections)
-            .seed(seed)
-            .chaos(policy)
-            .run_chaos();
-        let title = format!(
-            "Chaos Defense-Coverage Matrix ({} / {} analogue), n = {injections} per cell",
-            kind.name(),
-            kind.paper_name()
-        );
-        texts.push(render_chaos(&result, &title));
-        tsvs.push(render_chaos_tsv(&result));
-        jsonls.push(chaos_jsonl(&result));
-        for c in result.contracts() {
-            if !c.passed() {
-                broken.push(format!(
-                    "{}: {} ({}) {}/{} = {:.1}% < {:.0}%",
-                    kind.name(),
-                    c.name,
-                    c.what,
-                    c.covered,
-                    c.denom,
-                    c.percent(),
-                    c.floor_percent
-                ));
-            }
-        }
-    }
-    emit("chaos_coverage.txt", &texts.join("\n"));
-    // One TSV: repeat the header only once, tag rows with the app name.
-    let mut tsv = String::new();
-    for (i, (t, kind)) in tsvs.iter().zip(apps).enumerate() {
-        for (li, line) in t.lines().enumerate() {
-            if li == 0 {
-                if i == 0 {
-                    tsv.push_str("app\t");
-                    tsv.push_str(line);
-                    tsv.push('\n');
-                }
-            } else {
-                tsv.push_str(kind.name());
-                tsv.push('\t');
-                tsv.push_str(line);
-                tsv.push('\n');
-            }
-        }
-    }
-    emit("chaos_coverage.tsv", &tsv);
-    emit("chaos_coverage.jsonl", &jsonls.concat());
-    if !broken.is_empty() {
-        for b in &broken {
-            eprintln!("chaos_coverage: CONTRACT BROKEN: {b}");
-        }
-        std::process::exit(1);
-    }
+    fl_bench::matrix_coverage(
+        "chaos_coverage",
+        &[AppKind::Wavetoy, AppKind::Jacobi3d],
+        0x51C2,
+        |b| b.chaos(ChaosPolicy::default()).run_chaos(),
+    );
 }

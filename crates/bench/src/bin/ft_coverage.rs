@@ -13,17 +13,14 @@
 //! 90 % of manifesting single-replica message corruptions.
 
 use fl_apps::{App, AppKind, AppParams};
-use fl_bench::{emit, injections_from_args};
-use fl_inject::{ft_jsonl, render_ft, render_ft_tsv, CampaignBuilder, FtPolicy};
+use fl_bench::{injections_from_args, Coverage};
+use fl_inject::{CampaignBuilder, FtPolicy};
 
 fn main() {
     let injections = injections_from_args(40);
     let seed = 0xF7_AB1;
     let policy = FtPolicy::default();
-    let mut texts = Vec::new();
-    let mut tsvs = Vec::new();
-    let mut jsonls = Vec::new();
-    let mut broken = Vec::new();
+    let mut out = Coverage::default();
     for kind in AppKind::PAPER {
         eprintln!(
             "ft_coverage: {} x {injections} rank kills + {injections} message faults ...",
@@ -40,55 +37,28 @@ fn main() {
             kind.name(),
             kind.paper_name()
         );
-        texts.push(render_ft(&result, &title));
-        tsvs.push(render_ft_tsv(&result));
-        jsonls.push(ft_jsonl(&result));
+        out.add(kind, &title, &result);
         for (what, pct) in [
             ("shrink recovery", result.shrink_recovery_percent()),
             ("respawn recovery", result.respawn_recovery_percent()),
         ] {
             if pct < 90.0 {
-                broken.push(format!("{}: {what} {pct:.1}% < 90%", kind.name()));
+                out.broken
+                    .push(format!("{}: {what} {pct:.1}% < 90%", kind.name()));
             }
         }
         if result.replica_errors() == 0 {
-            broken.push(format!(
+            out.broken.push(format!(
                 "{}: no baseline message-fault errors to mask (n too small)",
                 kind.name()
             ));
         } else if result.masked_percent() < 90.0 {
-            broken.push(format!(
+            out.broken.push(format!(
                 "{}: replica masking {:.1}% < 90%",
                 kind.name(),
                 result.masked_percent()
             ));
         }
     }
-    emit("ft_coverage.txt", &texts.join("\n"));
-    // One TSV: repeat the header only once, tag rows with the app name.
-    let mut tsv = String::new();
-    for (i, (t, kind)) in tsvs.iter().zip(AppKind::PAPER).enumerate() {
-        for (li, line) in t.lines().enumerate() {
-            if li == 0 {
-                if i == 0 {
-                    tsv.push_str("app\t");
-                    tsv.push_str(line);
-                    tsv.push('\n');
-                }
-            } else {
-                tsv.push_str(kind.name());
-                tsv.push('\t');
-                tsv.push_str(line);
-                tsv.push('\n');
-            }
-        }
-    }
-    emit("ft_coverage.tsv", &tsv);
-    emit("ft_coverage.jsonl", &jsonls.concat());
-    if !broken.is_empty() {
-        for b in &broken {
-            eprintln!("ft_coverage: CONTRACT BROKEN: {b}");
-        }
-        std::process::exit(1);
-    }
+    out.emit("ft_coverage");
 }

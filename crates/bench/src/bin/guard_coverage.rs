@@ -8,10 +8,8 @@
 //! ```
 
 use fl_apps::{App, AppKind, AppParams};
-use fl_bench::{emit, injections_from_args};
-use fl_inject::{
-    coverage_jsonl, render_coverage, render_coverage_tsv, CampaignBuilder, GuardPolicy, TargetClass,
-};
+use fl_bench::{injections_from_args, Coverage};
+use fl_inject::{CampaignBuilder, GuardPolicy, TargetClass};
 
 fn main() {
     let injections = injections_from_args(100);
@@ -23,9 +21,7 @@ fn main() {
     // Tiny app parameters: each fault runs twice, and guarded runs may
     // re-execute up to max_restarts times, so the trial cost is ~2-5x a
     // plain campaign's.
-    let mut texts = Vec::new();
-    let mut tsvs = Vec::new();
-    let mut jsonls = Vec::new();
+    let mut out = Coverage::default();
     for kind in AppKind::PAPER {
         eprintln!(
             "guard_coverage: {} x {injections} paired trials per region ...",
@@ -43,29 +39,7 @@ fn main() {
             kind.name(),
             kind.paper_name()
         );
-        texts.push(render_coverage(&result, &title));
-        tsvs.push(render_coverage_tsv(&result));
-        jsonls.push(coverage_jsonl(&result));
+        out.add(kind, &title, &result);
     }
-    emit("guard_coverage.txt", &texts.join("\n"));
-    // One TSV: repeat the header only once, tag rows with the app name.
-    let mut tsv = String::new();
-    for (i, (t, kind)) in tsvs.iter().zip(AppKind::PAPER).enumerate() {
-        for (li, line) in t.lines().enumerate() {
-            if li == 0 {
-                if i == 0 {
-                    tsv.push_str("app\t");
-                    tsv.push_str(line);
-                    tsv.push('\n');
-                }
-            } else {
-                tsv.push_str(kind.name());
-                tsv.push('\t');
-                tsv.push_str(line);
-                tsv.push('\n');
-            }
-        }
-    }
-    emit("guard_coverage.tsv", &tsv);
-    emit("guard_coverage.jsonl", &jsonls.concat());
+    out.emit("guard_coverage");
 }

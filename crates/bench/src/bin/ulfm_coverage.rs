@@ -20,8 +20,11 @@
 
 use fl_apps::{App, AppKind, AppParams};
 use fl_bench::{emit, injections_from_args};
-use fl_inject::{classify, draw_kill, run_app, run_respawn, run_shrink, FtPolicy, Manifestation};
-use fl_mpi::{MpiWorld, WorldExit};
+use fl_inject::{
+    classify_recovery, draw_kill, run_app, run_respawn, run_shrink, world_insns, FtPolicy,
+    Manifestation,
+};
+use fl_mpi::WorldExit;
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -56,14 +59,6 @@ impl ModeStats {
     fn mean_micros(&self) -> f64 {
         self.wall_nanos as f64 / 1000.0 / self.trials.max(1) as f64
     }
-}
-
-/// Total retired instructions across the (possibly shrunken) world — the
-/// recovery-cost numerator: a restart re-executes, a checkpoint line
-/// spends cycles before the fault, an app-side rollback repeats only the
-/// iterations since the last control point.
-fn world_insns(w: &MpiWorld) -> u64 {
-    (0..w.nranks()).map(|r| w.machine(r).counters.insns).sum()
 }
 
 fn main() {
@@ -117,15 +112,13 @@ fn main() {
             let t0 = Instant::now();
             let (aw, ar) = run_app(&app.image, wcfg, &policy, |w| w.set_rank_kill(kill));
             let a_wall = t0.elapsed().as_nanos() as u64;
-            let a_m = if ar.exit == WorldExit::Clean && ar.shrinks > 0 {
-                if app.comparable_output(&aw) == golden.output {
-                    Manifestation::RecoveredByApp
-                } else {
-                    Manifestation::Incorrect
-                }
-            } else {
-                classify(&ar.exit, &app.comparable_output(&aw), &golden.output)
-            };
+            let a_m = classify_recovery(
+                &ar.exit,
+                &app.comparable_output(&aw),
+                (ar.shrinks > 0).then_some(Manifestation::RecoveredByApp),
+                &golden.output,
+                &golden.output,
+            );
             let a_ok = a_m == Manifestation::RecoveredByApp;
             app_s.note(a_ok, world_insns(&aw), a_wall);
 

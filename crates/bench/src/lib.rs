@@ -20,7 +20,11 @@
 //! ```
 
 use fl_apps::{App, AppKind, AppParams};
-use fl_inject::{estimation_error, render_table, render_tsv, CampaignBuilder, CampaignResult};
+use fl_inject::{
+    estimation_error, render_table, render_tsv, CampaignBuilder, CampaignResult, MatrixResult,
+    Report,
+};
+use std::fmt::Write as _;
 use std::path::PathBuf;
 
 /// Default instruction budget for golden/traced runs.
@@ -117,6 +121,89 @@ pub fn emit(name: &str, content: &str) {
             eprintln!("warning: could not write results/{name}: {e}");
         }
     }
+}
+
+/// The artifacts of a coverage binary, gathered one app at a time:
+/// titled tables, one TSV (one header, rows tagged with the app), JSONL,
+/// and the contracts the results broke.
+#[derive(Default)]
+pub struct Coverage {
+    tables: Vec<String>,
+    tsv: String,
+    jsonl: String,
+    /// Broken contracts, one line each.
+    pub broken: Vec<String>,
+}
+
+impl Coverage {
+    /// Add one app's report.
+    pub fn add(&mut self, kind: AppKind, title: &str, r: &dyn Report) {
+        self.tables.push(r.table(title));
+        for (li, line) in r.tsv().lines().enumerate() {
+            match li {
+                0 if self.tsv.is_empty() => _ = writeln!(self.tsv, "app\t{line}"),
+                0 => {}
+                _ => _ = writeln!(self.tsv, "{}\t{line}", kind.name()),
+            }
+        }
+        self.jsonl.push_str(&r.jsonl());
+    }
+
+    /// Print and write `results/<bin>.{txt,tsv,jsonl}`, then exit 1 if
+    /// any contract broke: the binary's exit status is the contract
+    /// check.
+    pub fn emit(self, bin: &str) {
+        emit(&format!("{bin}.txt"), &self.tables.join("\n"));
+        emit(&format!("{bin}.tsv"), &self.tsv);
+        emit(&format!("{bin}.jsonl"), &self.jsonl);
+        if !self.broken.is_empty() {
+            for b in &self.broken {
+                eprintln!("{bin}: CONTRACT BROKEN: {b}");
+            }
+            std::process::exit(1);
+        }
+    }
+}
+
+/// Regenerate one matrix preset's coverage artifacts: `run` on a
+/// builder for each tiny app, `injections_from_args(10)` trials per
+/// cell, every contract floor checked.
+pub fn matrix_coverage(
+    bin: &str,
+    apps: &[AppKind],
+    seed: u64,
+    run: impl Fn(CampaignBuilder) -> MatrixResult,
+) {
+    let injections = injections_from_args(10);
+    let mut out = Coverage::default();
+    for &kind in apps {
+        eprintln!(
+            "{bin}: {} x {injections} injections per matrix cell ...",
+            kind.name()
+        );
+        let app = App::build(kind, AppParams::tiny(kind));
+        let r = run(CampaignBuilder::new(&app).injections(injections).seed(seed));
+        let title = format!(
+            "{} ({} / {} analogue), n = {injections} per cell",
+            r.grid.title,
+            kind.name(),
+            kind.paper_name()
+        );
+        out.add(kind, &title, &r);
+        for c in r.contracts().iter().filter(|c| !c.passed()) {
+            out.broken.push(format!(
+                "{}: {} ({}) {}/{} = {:.1}% < {:.0}%",
+                kind.name(),
+                c.name,
+                c.what,
+                c.covered,
+                c.denom,
+                c.percent(),
+                c.floor_percent
+            ));
+        }
+    }
+    out.emit(bin);
 }
 
 #[cfg(test)]

@@ -22,12 +22,10 @@
 
 use fl_apps::{App, AppKind, AppParams};
 use fl_inject::{
-    estimation_error, render_chaos, render_chaos_focus, render_chaos_tsv, render_ft_focus,
-    render_perturb, render_perturb_focus, render_perturb_tsv, render_register_breakdown, run_spec,
-    sample_size, sort_records_jsonl, CampaignBuilder, CampaignConfig, CampaignSpec, ChaosPolicy,
-    EngineControl, EngineProgress, EngineSink, FaultModel, FtMode, FtPolicy, GuardPolicy,
-    MetricsReport, PerturbPolicy, PerturbResult, Report, ReportFormat, SpecMode, SpecOutcome,
-    StderrProgress, TargetClass, TrialOutput, VecSink,
+    estimation_error, render_ft_focus, render_register_breakdown, run_spec, sample_size,
+    sort_records_jsonl, suggest, CampaignBuilder, CampaignConfig, CampaignSpec, EngineControl,
+    EngineProgress, EngineSink, FaultModel, FtMode, MetricsReport, Report, ReportFormat, SpecMode,
+    SpecOutcome, StderrProgress, TargetClass, TrialOutput, VecSink,
 };
 use fl_serve::{ServeConfig, Server};
 use fl_snap::RecoveryConfig;
@@ -66,8 +64,7 @@ fn run(args: &[String]) -> Result<(), String> {
         "metrics" => cmd_metrics(rest),
         "guard" => cmd_guard(rest),
         "ft" => cmd_ft(rest),
-        "chaos" => cmd_chaos(rest),
-        "perturb" => cmd_perturb(rest),
+        "chaos" | "perturb" => cmd_matrix(cmd, rest),
         "recovery" => cmd_recovery(rest),
         "spec" => cmd_spec(rest),
         "serve" => cmd_serve(rest),
@@ -225,28 +222,20 @@ impl Opts {
 
     /// Reject flags outside `valid`, suggesting the nearest valid flag.
     fn expect(&self, valid: &[&str]) -> Result<(), String> {
-        for (name, _) in &self.flags {
-            if valid.iter().any(|v| v == name) {
-                continue;
-            }
-            let nearest = valid
-                .iter()
-                .map(|v| (edit_distance(name, v), *v))
-                .min()
-                .filter(|&(d, v)| d <= 3 || v.starts_with(name.as_str()) || name.starts_with(v));
-            return Err(match nearest {
-                Some((_, v)) => format!("unknown flag `--{name}` (did you mean `--{v}`?)"),
+        match self
+            .flags
+            .iter()
+            .find(|(name, _)| !valid.contains(&name.as_str()))
+        {
+            None => Ok(()),
+            Some((name, _)) => Err(match suggest(name, valid) {
+                Some(v) => format!("unknown flag `--{name}` (did you mean `--{v}`?)"),
                 None => format!(
-                    "unknown flag `--{name}` (valid flags: {})",
-                    valid
-                        .iter()
-                        .map(|v| format!("--{v}"))
-                        .collect::<Vec<_>>()
-                        .join(", ")
+                    "unknown flag `--{name}` (valid flags: --{})",
+                    valid.join(", --")
                 ),
-            });
+            }),
         }
-        Ok(())
     }
 }
 
@@ -256,33 +245,13 @@ fn check_mode(input: &str, valid: &[&str], what: &str) -> Result<(), String> {
     if valid.contains(&input) {
         return Ok(());
     }
-    let nearest = valid
-        .iter()
-        .map(|v| (edit_distance(input, v), *v))
-        .min()
-        .filter(|&(d, v)| d <= 3 || v.starts_with(input) || input.starts_with(v));
-    Err(match nearest {
-        Some((_, v)) => format!("unknown {what} `{input}` (did you mean `{v}`?)"),
+    Err(match suggest(input, valid) {
+        Some(v) => format!("unknown {what} `{input}` (did you mean `{v}`?)"),
         None => format!(
             "unknown {what} `{input}` (valid modes: {})",
             valid.join(", ")
         ),
     })
-}
-
-/// Levenshtein distance, for did-you-mean flag suggestions.
-fn edit_distance(a: &str, b: &str) -> usize {
-    let (a, b): (Vec<char>, Vec<char>) = (a.chars().collect(), b.chars().collect());
-    let mut prev: Vec<usize> = (0..=b.len()).collect();
-    for (i, ca) in a.iter().enumerate() {
-        let mut row = vec![i + 1];
-        for (j, cb) in b.iter().enumerate() {
-            let sub = prev[j] + usize::from(ca != cb);
-            row.push(sub.min(prev[j + 1] + 1).min(row[j] + 1));
-        }
-        prev = row;
-    }
-    prev[b.len()]
 }
 
 fn build_app(kind: AppKind, tiny: bool) -> App {
@@ -308,152 +277,17 @@ const SPEC_FLAGS: &[&str] = &[
     "no-fastpath",
 ];
 
-const GUARD_FLAGS: &[&str] = &["checkpoint-rounds", "restarts", "retransmits"];
-const FT_FLAGS: &[&str] = &[
-    "buddy-rounds",
-    "respawns",
-    "replicas",
-    "probe-rounds",
-    "suspect-rounds",
-];
-const CHAOS_FLAGS: &[&str] = &[
-    "partition-lo",
-    "partition-hi",
-    "reorder-delay",
-    "burst-max",
-    "node-ranks",
-];
-const PERTURB_FLAGS: &[&str] = &[
-    "probe-rounds",
-    "suspect-rounds",
-    "tax-lo",
-    "tax-hi",
-    "tax-rounds-lo",
-    "tax-rounds-hi",
-    "hog-share-lo",
-    "hog-share-hi",
-    "hog-node-ranks",
-    "stall-access-lo",
-    "stall-access-hi",
-    "stall-window-lo",
-    "stall-window-hi",
-    "degraded-permille",
-];
-
-fn guard_policy_from(o: &Opts) -> Result<GuardPolicy, String> {
-    Ok(GuardPolicy {
-        checkpoint_rounds: o.get_num("checkpoint-rounds")?.unwrap_or(32),
-        max_restarts: o.get_num("restarts")?.unwrap_or(3),
-        max_retransmits: o.get_num("retransmits")?.unwrap_or(3),
-        ..GuardPolicy::default()
-    })
-}
-
-fn ft_policy_from(o: &Opts) -> Result<FtPolicy, String> {
-    let mut policy = FtPolicy::default();
-    if let Some(b) = o.get_num("buddy-rounds")? {
-        policy.buddy_rounds = b;
-    }
-    if let Some(r) = o.get_num("respawns")? {
-        policy.max_respawns = r;
-    }
-    if let Some(n) = o.get_num("replicas")? {
-        policy.replicas = n;
-    }
-    if let Some(p) = o.get_num("probe-rounds")? {
-        policy.detector.probe_rounds = p;
-    }
-    if let Some(q) = o.get_num("suspect-rounds")? {
-        policy.detector.suspect_rounds = q;
-    }
-    Ok(policy)
-}
-
-fn chaos_policy_from(o: &Opts) -> Result<ChaosPolicy, String> {
-    // Guard and ft knobs configure the crc/watchdog and
-    // replica/shrink/app defense columns respectively.
-    let mut p = ChaosPolicy {
-        ft: ft_policy_from(o)?,
-        ..ChaosPolicy::default()
-    };
-    if let Some(c) = o.get_num("checkpoint-rounds")? {
-        p.guard.checkpoint_rounds = c;
-    }
-    if let Some(r) = o.get_num("restarts")? {
-        p.guard.max_restarts = r;
-    }
-    if let Some(x) = o.get_num("retransmits")? {
-        p.guard.max_retransmits = x;
-    }
-    if let Some(v) = o.get_num("partition-lo")? {
-        p.partition_rounds.0 = v;
-    }
-    if let Some(v) = o.get_num("partition-hi")? {
-        p.partition_rounds.1 = v;
-    }
-    if let Some(v) = o.get_num("reorder-delay")? {
-        p.reorder_max_delay = v;
-    }
-    if let Some(v) = o.get_num("burst-max")? {
-        p.burst_max = v;
-    }
-    if let Some(v) = o.get_num("node-ranks")? {
-        p.node_ranks = v;
-    }
-    Ok(p)
-}
-
 /// Build a [`CampaignSpec`] from a verb's flags — the single source the
 /// one-shot verbs, `faultlab spec` and the service submissions share.
-/// `--jobs` and `--threads` are aliases (0 = one worker per core).
-fn perturb_policy_from(o: &Opts) -> Result<PerturbPolicy, String> {
-    let mut p = PerturbPolicy::default();
-    if let Some(v) = o.get_num("probe-rounds")? {
-        p.probe_rounds = v;
-    }
-    if let Some(v) = o.get_num("suspect-rounds")? {
-        p.suspect_rounds = v;
-    }
-    if let Some(v) = o.get_num("tax-lo")? {
-        p.tax_permille.0 = v;
-    }
-    if let Some(v) = o.get_num("tax-hi")? {
-        p.tax_permille.1 = v;
-    }
-    if let Some(v) = o.get_num("tax-rounds-lo")? {
-        p.tax_rounds.0 = v;
-    }
-    if let Some(v) = o.get_num("tax-rounds-hi")? {
-        p.tax_rounds.1 = v;
-    }
-    if let Some(v) = o.get_num("hog-share-lo")? {
-        p.hog_share_permille.0 = v;
-    }
-    if let Some(v) = o.get_num("hog-share-hi")? {
-        p.hog_share_permille.1 = v;
-    }
-    if let Some(v) = o.get_num("hog-node-ranks")? {
-        p.hog_node_ranks = v;
-    }
-    if let Some(v) = o.get_num("stall-access-lo")? {
-        p.stall_per_access.0 = v;
-    }
-    if let Some(v) = o.get_num("stall-access-hi")? {
-        p.stall_per_access.1 = v;
-    }
-    if let Some(v) = o.get_num("stall-window-lo")? {
-        p.stall_window_per16.0 = v;
-    }
-    if let Some(v) = o.get_num("stall-window-hi")? {
-        p.stall_window_per16.1 = v;
-    }
-    if let Some(v) = o.get_num("degraded-permille")? {
-        p.degraded_permille = v;
-    }
-    Ok(p)
-}
-
-fn spec_from_opts(o: &Opts, mode: &str, default_injections: u32) -> Result<CampaignSpec, String> {
+/// Accepts the spec flags, the mode's policy flags and the verb's
+/// `extra` flags. `--jobs` and `--threads` are aliases (0 = one worker
+/// per core).
+fn spec_from_opts(o: &Opts, mode: &str, extra: &[&str]) -> Result<CampaignSpec, String> {
+    check_mode(mode, &SpecMode::NAMES, "mode")?;
+    let mut valid = SPEC_FLAGS.to_vec();
+    valid.extend(SpecMode::named(mode).expect("checked mode name").flags());
+    valid.extend(extra);
+    o.expect(&valid)?;
     let app_name = o.words.first().ok_or("needs an app name")?;
     let kind = parse_app(app_name)?;
     let mut spec = CampaignSpec::new(kind);
@@ -466,6 +300,14 @@ fn spec_from_opts(o: &Opts, mode: &str, default_injections: u32) -> Result<Campa
             .collect::<Result<_, _>>()?,
     };
     let c = &mut spec.campaign;
+    // Trials per class (or per cell) when `--injections` is not given.
+    let default_injections = match mode {
+        "guard" => 100,
+        "ft" => 40,
+        "chaos" => 20,
+        "perturb" => 10,
+        _ => 500,
+    };
     c.injections = o.get_num("injections")?.unwrap_or(default_injections);
     c.seed = o.get_num("seed")?.unwrap_or(0xFA17);
     c.threads = match o.get_num("jobs")? {
@@ -475,18 +317,13 @@ fn spec_from_opts(o: &Opts, mode: &str, default_injections: u32) -> Result<Campa
     c.epoch_rounds = o.get_num("epoch-rounds")?.unwrap_or(16);
     c.obs_capacity = o.get_num("ring")?.unwrap_or(0);
     c.fastpath = !o.has("no-fastpath");
-    check_mode(
-        mode,
-        &["campaign", "guard", "ft", "chaos", "perturb"],
-        "mode",
-    )?;
-    spec.mode = match mode {
-        "campaign" => SpecMode::Campaign,
-        "guard" => SpecMode::Guard(guard_policy_from(o)?),
-        "chaos" => SpecMode::Chaos(chaos_policy_from(o)?),
-        "perturb" => SpecMode::Perturb(perturb_policy_from(o)?),
-        _ => SpecMode::Ft(ft_policy_from(o)?),
-    };
+    spec.mode = SpecMode::named(mode).expect("checked mode name");
+    if let SpecMode::Guard(g) = &mut spec.mode {
+        // The guard verb's checkpoint cadence predates the policy
+        // default.
+        g.checkpoint_rounds = 32;
+    }
+    spec.mode.set_flags(&|flag| o.get(flag))?;
     Ok(spec)
 }
 
@@ -565,10 +402,7 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
 
 fn cmd_campaign(args: &[String]) -> Result<(), String> {
     let o = Opts::parse(args);
-    let mut valid = SPEC_FLAGS.to_vec();
-    valid.extend(["tsv", "jsonl", "registers"]);
-    o.expect(&valid)?;
-    let spec = spec_from_opts(&o, "campaign", 500)?;
+    let spec = spec_from_opts(&o, "campaign", &["tsv", "jsonl", "registers"])?;
     let kind = spec.app;
     eprintln!(
         "campaign: {} x {} injections over {} regions, {} workers ...",
@@ -577,8 +411,7 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
         spec.classes.len(),
         jobs_label(spec.campaign.threads),
     );
-    let total = spec.classes.len() as u64 * spec.campaign.injections as u64;
-    let sink = CliSink::new(kind, o.has("jsonl"), total);
+    let sink = CliSink::new(kind, o.has("jsonl"), spec.planned_trials());
     let SpecOutcome::Campaign(result) = run_spec_cli(&spec, &sink) else {
         unreachable!("campaign mode yields a campaign outcome");
     };
@@ -848,10 +681,7 @@ fn cmd_events(args: &[String]) -> Result<(), String> {
 
 fn cmd_metrics(args: &[String]) -> Result<(), String> {
     let o = Opts::parse(args);
-    let mut valid = SPEC_FLAGS.to_vec();
-    valid.push("tsv");
-    o.expect(&valid)?;
-    let mut spec = spec_from_opts(&o, "campaign", 500)?;
+    let mut spec = spec_from_opts(&o, "campaign", &["tsv"])?;
     if o.get("ring").is_none() {
         spec.campaign.obs_capacity = 4096;
     }
@@ -862,8 +692,7 @@ fn cmd_metrics(args: &[String]) -> Result<(), String> {
         spec.campaign.injections,
         spec.classes.len()
     );
-    let total = spec.classes.len() as u64 * spec.campaign.injections as u64;
-    let sink = CliSink::new(kind, false, total);
+    let sink = CliSink::new(kind, false, spec.planned_trials());
     let SpecOutcome::Campaign(result) = run_spec_cli(&spec, &sink) else {
         unreachable!("campaign mode yields a campaign outcome");
     };
@@ -886,11 +715,7 @@ fn cmd_metrics(args: &[String]) -> Result<(), String> {
 
 fn cmd_guard(args: &[String]) -> Result<(), String> {
     let o = Opts::parse(args);
-    let mut valid = SPEC_FLAGS.to_vec();
-    valid.extend(GUARD_FLAGS);
-    valid.extend(["tsv", "jsonl"]);
-    o.expect(&valid)?;
-    let spec = spec_from_opts(&o, "guard", 100)?;
+    let spec = spec_from_opts(&o, "guard", &["tsv", "jsonl"])?;
     let kind = spec.app;
     eprintln!(
         "guard: {} x {} paired trials over {} regions ...",
@@ -898,8 +723,7 @@ fn cmd_guard(args: &[String]) -> Result<(), String> {
         spec.campaign.injections,
         spec.classes.len()
     );
-    let total = spec.classes.len() as u64 * spec.campaign.injections as u64;
-    let sink = CliSink::new(kind, false, total);
+    let sink = CliSink::new(kind, false, spec.planned_trials());
     let SpecOutcome::Coverage(result) = run_spec_cli(&spec, &sink) else {
         unreachable!("guard mode yields a coverage outcome");
     };
@@ -915,10 +739,7 @@ fn cmd_guard(args: &[String]) -> Result<(), String> {
 
 fn cmd_ft(args: &[String]) -> Result<(), String> {
     let o = Opts::parse(args);
-    let mut valid = SPEC_FLAGS.to_vec();
-    valid.extend(FT_FLAGS);
-    valid.extend(["mode", "tsv", "jsonl"]);
-    o.expect(&valid)?;
+    let spec = spec_from_opts(&o, "ft", &["mode", "tsv", "jsonl"])?;
     // `--mode M` focuses the table on one recovery discipline; every
     // trial still runs all of them (the columns are paired draws).
     let focus: Option<FtMode> = match o.get("mode") {
@@ -929,7 +750,6 @@ fn cmd_ft(args: &[String]) -> Result<(), String> {
             Some(m.parse()?)
         }
     };
-    let spec = spec_from_opts(&o, "ft", 40)?;
     let kind = spec.app;
     eprintln!(
         "ft: {} x {} rank kills (baseline/shrink/respawn/app) + {} message faults (replicated) ...",
@@ -937,8 +757,7 @@ fn cmd_ft(args: &[String]) -> Result<(), String> {
         spec.campaign.injections,
         spec.campaign.injections
     );
-    let total = 2 * spec.campaign.injections as u64;
-    let sink = CliSink::new(kind, false, total);
+    let sink = CliSink::new(kind, false, spec.planned_trials());
     let SpecOutcome::Ft(result) = run_spec_cli(&spec, &sink) else {
         unreachable!("ft mode yields an ft outcome");
     };
@@ -959,121 +778,66 @@ fn cmd_ft(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_chaos(args: &[String]) -> Result<(), String> {
+/// `chaos` and `perturb`: run the verb's matrix preset and print its
+/// records, summary or table.
+fn cmd_matrix(verb: &str, args: &[String]) -> Result<(), String> {
     let o = Opts::parse(args);
-    let mut valid = SPEC_FLAGS.to_vec();
-    valid.extend(GUARD_FLAGS);
-    valid.extend(FT_FLAGS);
-    valid.extend(CHAOS_FLAGS);
-    valid.extend(["model", "tsv", "jsonl"]);
-    o.expect(&valid)?;
-    // `--model M` focuses the table on one fault model's row; every
-    // model still runs (the defense columns are paired draws). The
-    // parse error carries the registry-wide did-you-mean hint.
+    let spec = spec_from_opts(&o, verb, &["model", "tsv", "jsonl"])?;
+    let grid = spec
+        .mode
+        .preset()
+        .expect("matrix verbs have presets")
+        .grid();
+    // `--model M` focuses the table on one row; every model still runs
+    // (the columns are paired draws). The parse error carries the
+    // registry-wide did-you-mean hint.
     let focus: Option<FaultModel> = match o.get("model") {
         None => None,
         Some(m) => {
             let model: FaultModel = m.parse()?;
-            if model.chaos_class().is_none() {
-                let rows: Vec<&str> = FaultModel::chaos_models()
-                    .iter()
-                    .map(|m| m.label())
-                    .collect();
+            if !grid.rows.contains(&model) {
+                let rows: Vec<&str> = grid.rows.iter().map(|m| m.label()).collect();
                 return Err(format!(
-                    "`{model}` is not a chaos model (matrix rows: {})",
+                    "`{model}` is not a {verb} model (matrix rows: {})",
                     rows.join(", ")
                 ));
             }
             Some(model)
         }
     };
-    let spec = spec_from_opts(&o, "chaos", 20)?;
     let kind = spec.app;
-    let total = spec.record_classes().len() as u64 * spec.campaign.injections as u64;
     eprintln!(
-        "chaos: {} x {} injections per cell over {} fault models x {} defenses, {} workers ...",
+        "{verb}: {} x {} injections per cell over {} models x {} {} columns, {} workers ...",
         kind.name(),
         spec.campaign.injections,
-        FaultModel::chaos_models().len(),
-        fl_inject::Defense::ALL.len(),
+        grid.rows.len(),
+        grid.columns.len(),
+        grid.column_kind,
         jobs_label(spec.campaign.threads),
     );
-    let sink = CliSink::new(kind, o.has("jsonl"), total);
-    let SpecOutcome::Chaos(result) = run_spec_cli(&spec, &sink) else {
-        unreachable!("chaos mode yields a chaos outcome");
+    let sink = CliSink::new(kind, o.has("jsonl"), spec.planned_trials());
+    let (SpecOutcome::Chaos(result) | SpecOutcome::Perturb(result)) = run_spec_cli(&spec, &sink)
+    else {
+        unreachable!("matrix modes yield a matrix outcome");
     };
     match ReportFormat::from_flags(o.has("tsv"), o.has("jsonl")) {
         // Like `campaign --jsonl`: stream the canonical per-trial
         // records (the resumable wire format), not the cell summaries.
         ReportFormat::Jsonl => print!("{}", sink.canonical_records()),
-        ReportFormat::Tsv => print!("{}", render_chaos_tsv(&result)),
+        ReportFormat::Tsv => print!("{}", result.tsv()),
         ReportFormat::Table => match focus {
-            Some(model) => print!("{}", render_chaos_focus(&result, model)),
+            Some(model) => print!("{}", result.focus(model)),
             None => {
-                let title = format!(
-                    "Chaos Defense-Coverage Matrix ({} / {} analogue)",
+                let mut title = format!(
+                    "{} ({} / {} analogue)",
+                    grid.title,
                     kind.name(),
                     kind.paper_name()
                 );
-                print!("{}", render_chaos(&result, &title));
-            }
-        },
-    }
-    Ok(())
-}
-
-fn cmd_perturb(args: &[String]) -> Result<(), String> {
-    let o = Opts::parse(args);
-    let mut valid = SPEC_FLAGS.to_vec();
-    valid.extend(PERTURB_FLAGS);
-    valid.extend(["model", "tsv", "jsonl"]);
-    o.expect(&valid)?;
-    // `--model M` focuses the table on one matrix row; every model
-    // still runs (the detection columns are paired draws). The parse
-    // error carries the registry-wide did-you-mean hint.
-    let focus: Option<FaultModel> = match o.get("model") {
-        None => None,
-        Some(m) => {
-            let model: FaultModel = m.parse()?;
-            if !PerturbResult::models().contains(&model) {
-                let rows: Vec<&str> = PerturbResult::models().iter().map(|m| m.label()).collect();
-                return Err(format!(
-                    "`{model}` is not a perturb model (matrix rows: {})",
-                    rows.join(", ")
-                ));
-            }
-            Some(model)
-        }
-    };
-    let spec = spec_from_opts(&o, "perturb", 10)?;
-    let kind = spec.app;
-    let total = spec.record_classes().len() as u64 * spec.campaign.injections as u64;
-    eprintln!(
-        "perturb: {} x {} injections per cell over {} interference/process models x {} detectors, {} workers ...",
-        kind.name(),
-        spec.campaign.injections,
-        PerturbResult::models().len(),
-        fl_inject::Detection::ALL.len(),
-        jobs_label(spec.campaign.threads),
-    );
-    let sink = CliSink::new(kind, o.has("jsonl"), total);
-    let SpecOutcome::Perturb(result) = run_spec_cli(&spec, &sink) else {
-        unreachable!("perturb mode yields a perturb outcome");
-    };
-    match ReportFormat::from_flags(o.has("tsv"), o.has("jsonl")) {
-        // Like `chaos --jsonl`: stream the canonical per-trial records
-        // (the resumable wire format), not the cell summaries.
-        ReportFormat::Jsonl => print!("{}", sink.canonical_records()),
-        ReportFormat::Tsv => print!("{}", render_perturb_tsv(&result)),
-        ReportFormat::Table => match focus {
-            Some(model) => print!("{}", render_perturb_focus(&result, model)),
-            None => {
-                let title = format!(
-                    "Performance-Interference Detection Matrix ({} / {} analogue), fixed vs accrual",
-                    kind.name(),
-                    kind.paper_name()
-                );
-                print!("{}", render_perturb(&result, &title));
+                if let Some(c) = grid.comparison {
+                    title = format!("{title}, {c}");
+                }
+                print!("{}", result.table(&title));
             }
         },
     }
@@ -1082,22 +846,12 @@ fn cmd_perturb(args: &[String]) -> Result<(), String> {
 
 fn cmd_spec(args: &[String]) -> Result<(), String> {
     let o = Opts::parse(args);
-    let mut valid = SPEC_FLAGS.to_vec();
-    valid.push("mode");
-    valid.extend(GUARD_FLAGS);
-    valid.extend(FT_FLAGS);
-    valid.extend(CHAOS_FLAGS);
-    valid.extend(PERTURB_FLAGS);
-    o.expect(&valid)?;
-    let mode = o.get("mode").unwrap_or("campaign");
-    let default_injections = match mode {
-        "guard" => 100,
-        "ft" => 40,
-        "chaos" => 20,
-        "perturb" => 10,
-        _ => 500,
-    };
-    let spec = spec_from_opts(&o, mode, default_injections)?;
+    // Every mode's policy flags are accepted; only `--mode`'s apply.
+    let mut extra = vec!["mode"];
+    for name in SpecMode::NAMES {
+        extra.extend(SpecMode::named(name).unwrap().flags());
+    }
+    let spec = spec_from_opts(&o, o.get("mode").unwrap_or("campaign"), &extra)?;
     println!("{}", spec.to_json());
     Ok(())
 }
@@ -1306,6 +1060,7 @@ fn cmd_disasm(args: &[String]) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fl_inject::edit_distance;
 
     fn s(v: &[&str]) -> Vec<String> {
         v.iter().map(|x| x.to_string()).collect()
@@ -1403,7 +1158,7 @@ mod tests {
     #[test]
     fn spec_from_opts_matches_legacy_defaults() {
         let o = Opts::parse(&s(&["wavetoy"]));
-        let spec = spec_from_opts(&o, "campaign", 500).unwrap();
+        let spec = spec_from_opts(&o, "campaign", &[]).unwrap();
         assert_eq!(spec.app, AppKind::Wavetoy);
         assert!(!spec.tiny);
         assert_eq!(spec.campaign.injections, 500);
@@ -1414,7 +1169,7 @@ mod tests {
         assert!(matches!(spec.mode, SpecMode::Campaign));
 
         let o = Opts::parse(&s(&["moldyn", "--tiny", "--checkpoint-rounds", "8"]));
-        let spec = spec_from_opts(&o, "guard", 100).unwrap();
+        let spec = spec_from_opts(&o, "guard", &[]).unwrap();
         assert_eq!(spec.campaign.injections, 100);
         let SpecMode::Guard(g) = &spec.mode else {
             panic!("expected guard mode");
@@ -1451,7 +1206,7 @@ mod tests {
             "--degraded-permille",
             "1100",
         ]));
-        let spec = spec_from_opts(&o, "perturb", 10).unwrap();
+        let spec = spec_from_opts(&o, "perturb", &[]).unwrap();
         let SpecMode::Perturb(p) = &spec.mode else {
             panic!("expected perturb mode");
         };
@@ -1504,14 +1259,21 @@ mod tests {
             "--replicas",
             "5",
         ]));
-        let spec = spec_from_opts(&o, "chaos", 20).unwrap();
+        let spec = spec_from_opts(&o, "chaos", &[]).unwrap();
         let SpecMode::Chaos(p) = &spec.mode else {
             panic!("expected chaos mode");
         };
         assert_eq!(p.burst_max, 4);
         assert_eq!(p.partition_rounds, (64, 1024));
         assert_eq!(p.ft.replicas, 5);
-        assert_eq!(p.node_ranks, ChaosPolicy::default().node_ranks);
+        assert_eq!(p.node_ranks, fl_inject::ChaosPolicy::default().node_ranks);
+        // Flags are range-checked against the same knob table as the spec.
+        let o = Opts::parse(&s(&["wavetoy", "--retransmits", "256"]));
+        let err = spec_from_opts(&o, "chaos", &[]).unwrap_err();
+        assert!(
+            err.contains("--retransmits expects a number up to 255"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -1529,25 +1291,25 @@ mod tests {
     fn jacobi3d_parses_as_an_app() {
         assert_eq!(parse_app("jacobi3d").unwrap(), AppKind::Jacobi3d);
         let o = Opts::parse(&s(&["jacobi3d", "--tiny"]));
-        let spec = spec_from_opts(&o, "ft", 40).unwrap();
+        let spec = spec_from_opts(&o, "ft", &[]).unwrap();
         assert_eq!(spec.app, AppKind::Jacobi3d);
     }
 
     #[test]
     fn jobs_is_an_alias_for_threads() {
         let o = Opts::parse(&s(&["wavetoy", "--jobs", "4"]));
-        let spec = spec_from_opts(&o, "campaign", 500).unwrap();
+        let spec = spec_from_opts(&o, "campaign", &[]).unwrap();
         assert_eq!(spec.campaign.threads, 4);
         let o = Opts::parse(&s(&["wavetoy", "--threads", "3"]));
-        let spec = spec_from_opts(&o, "campaign", 500).unwrap();
+        let spec = spec_from_opts(&o, "campaign", &[]).unwrap();
         assert_eq!(spec.campaign.threads, 3);
     }
 
     #[test]
     fn spec_verb_output_round_trips() {
-        for mode in ["campaign", "guard", "ft", "chaos"] {
+        for mode in SpecMode::NAMES {
             let o = Opts::parse(&s(&["climsim", "--tiny", "--mode", mode]));
-            let spec = spec_from_opts(&o, mode, 500).unwrap();
+            let spec = spec_from_opts(&o, mode, &["mode"]).unwrap();
             let json = spec.to_json();
             let back = CampaignSpec::from_json(&json).unwrap();
             assert_eq!(back.to_json(), json, "mode {mode} did not round-trip");

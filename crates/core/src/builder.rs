@@ -1,4 +1,4 @@
-//! The fluent campaign API — a thin veneer over [`CampaignSpec`] +
+//! The fluent campaign API — a thin veneer over the engine path behind
 //! [`crate::run_spec`].
 //!
 //! [`CampaignBuilder`] is the single front door for configuring and
@@ -6,12 +6,12 @@
 //! model, trial count, seeding, epoch forking, event recording and
 //! guarded execution all hang off one builder instead of a positional
 //! struct literal. It holds no execution logic of its own: every
-//! `run*` call lowers the configuration to a [`CampaignSpec`] and hands
-//! it to [`crate::run_spec`], the same entry point the CLI verbs and
-//! the campaign service use — builder-run and spec-run campaigns are
-//! byte-identical by construction. Only configurations the spec cannot
-//! express (custom [`fl_apps::AppParams`], non-transient fault models)
-//! fall back to direct engine calls.
+//! transient-model `run*` call hands its app, classes, knobs and
+//! [`SpecMode`] to the function [`crate::run_spec`] runs once it has
+//! built the spec's app — the path the CLI verbs and the campaign
+//! service take, so builder-run and spec-run campaigns are
+//! byte-identical by construction, custom [`fl_apps::AppParams`]
+//! included. Non-transient fault models run their own campaign loop.
 //!
 //! ```
 //! use fl_apps::{App, AppKind, AppParams};
@@ -27,17 +27,17 @@
 //! ```
 
 use crate::campaign::{
-    replay_trial_impl, run_campaign_impl, trial_seed, CampaignConfig, CampaignResult, ClassResult,
-    TrialRecord,
+    replay_trial_impl, trial_seed, CampaignConfig, CampaignResult, ClassResult, TrialRecord,
 };
-use crate::chaos::{run_chaos_impl, ChaosPolicy, ChaosResult};
-use crate::engine::{run_spec, EngineControl, NullSink, SpecOutcome};
+use crate::chaos::ChaosPolicy;
+use crate::engine::{run_mode, EngineControl, NullSink, SpecOutcome};
 use crate::faultmodel::{model_classes, run_model_trial, FaultModel};
-use crate::ft::{run_ft_impl, FtResult};
-use crate::guarded::{run_coverage_impl, CoverageResult};
+use crate::ft::FtResult;
+use crate::guarded::CoverageResult;
+use crate::matrix::MatrixResult;
 use crate::obs::TrialTrace;
 use crate::outcome::Tally;
-use crate::perturb::{run_perturb_impl, PerturbPolicy, PerturbResult};
+use crate::perturb::PerturbPolicy;
 use crate::spec::{CampaignSpec, SpecMode};
 use crate::target::TargetClass;
 use fl_apps::{App, AppParams};
@@ -198,11 +198,12 @@ impl<'a> CampaignBuilder<'a> {
         }
     }
 
-    /// Lower the builder to a [`CampaignSpec`] running in `mode`.
-    /// `None` when the configuration is outside the spec language:
-    /// custom app parameters (a spec names apps by kind + `tiny` only)
-    /// or a non-transient fault model.
-    fn lower(&self, mode: SpecMode) -> Option<CampaignSpec> {
+    /// The builder's configuration as a plain-campaign [`CampaignSpec`]
+    /// — the document `faultlab submit` would accept to run the same
+    /// campaign on a service. `None` for configurations the spec cannot
+    /// express: custom app parameters (a spec names apps by kind +
+    /// `tiny` only) or a non-transient fault model.
+    pub fn to_spec(&self) -> Option<CampaignSpec> {
         if self.model != FaultModel::Transient {
             return None;
         }
@@ -211,43 +212,46 @@ impl<'a> CampaignBuilder<'a> {
             tiny: self.canonical_tiny()?,
             classes: self.classes.clone(),
             campaign: self.cfg,
-            mode,
+            mode: SpecMode::Campaign,
         })
     }
 
-    /// The builder's configuration as a plain-campaign [`CampaignSpec`]
-    /// — the document `faultlab submit` would accept to run the same
-    /// campaign on a service. `None` for configurations the spec cannot
-    /// express (custom app parameters, non-transient fault models).
-    pub fn to_spec(&self) -> Option<CampaignSpec> {
-        self.lower(SpecMode::Campaign)
+    /// Run `mode` on the engine — the same path `run_spec` takes, on
+    /// the builder's own app; uncontrolled one-shot runs always
+    /// complete. Transient model only.
+    fn run_mode(&self, mode: SpecMode) -> SpecOutcome {
+        assert!(
+            self.model == FaultModel::Transient,
+            "{} campaigns support the transient model only",
+            mode.name()
+        );
+        run_mode(
+            self.app,
+            &self.classes,
+            &self.cfg,
+            &mode,
+            &NullSink,
+            &EngineControl::new(),
+            None,
+        )
+        .expect("uncontrolled one-shot runs always complete")
     }
 
-    /// Run the lowered spec on the engine; uncontrolled one-shot runs
-    /// always complete.
-    fn run_lowered(spec: &CampaignSpec) -> SpecOutcome {
-        run_spec(spec, &NullSink, &EngineControl::new(), None)
-            .expect("uncontrolled one-shot runs always complete")
-    }
-
-    /// Run the campaign by lowering to [`CampaignSpec`] + `run_spec`.
+    /// Run the campaign on the engine — the path [`run_spec`](crate::run_spec)
+    /// takes, on the builder's own app.
     ///
     /// # Panics
     /// With a non-transient fault model, panics if the class list
     /// contains a class outside [`model_classes`] (dynamic targets
     /// cannot be re-asserted periodically).
     pub fn run(self) -> CampaignResult {
-        if let Some(spec) = self.lower(SpecMode::Campaign) {
-            let SpecOutcome::Campaign(r) = Self::run_lowered(&spec) else {
-                unreachable!("campaign mode yields a campaign outcome");
-            };
-            return r;
+        if self.model != FaultModel::Transient {
+            return self.run_model_campaign();
         }
-        if self.model == FaultModel::Transient {
-            // Custom app parameters: same engine, direct app reference.
-            return run_campaign_impl(self.app, &self.classes, &self.cfg);
-        }
-        self.run_model_campaign()
+        let SpecOutcome::Campaign(r) = self.run_mode(SpecMode::Campaign) else {
+            unreachable!("campaign mode yields a campaign outcome");
+        };
+        r
     }
 
     /// Run a detection-coverage campaign: every trial's fault executed
@@ -255,18 +259,12 @@ impl<'a> CampaignBuilder<'a> {
     /// [`CampaignBuilder::guarded`]), with paired outcomes and the
     /// baseline→guarded transition matrix. Transient model only.
     pub fn run_coverage(self) -> CoverageResult {
-        assert!(
-            self.model == FaultModel::Transient,
-            "coverage campaigns support the transient model only"
-        );
-        let policy = self.guard.unwrap_or_default();
-        if let Some(spec) = self.lower(SpecMode::Guard(policy)) {
-            let SpecOutcome::Coverage(r) = Self::run_lowered(&spec) else {
-                unreachable!("guard mode yields a coverage outcome");
-            };
-            return r;
-        }
-        run_coverage_impl(self.app, &self.classes, &self.cfg, &policy)
+        let SpecOutcome::Coverage(r) =
+            self.run_mode(SpecMode::Guard(self.guard.unwrap_or_default()))
+        else {
+            unreachable!("guard mode yields a coverage outcome");
+        };
+        r
     }
 
     /// Run a process-failure recovery campaign: `injections` rank kills
@@ -276,24 +274,10 @@ impl<'a> CampaignBuilder<'a> {
     /// [`CampaignBuilder::ft`]). Transient model only — process-level
     /// faults are the campaign's subject, not its knob.
     pub fn run_ft(self) -> FtResult {
-        assert!(
-            self.model == FaultModel::Transient,
-            "ft campaigns support the transient model only"
-        );
-        let policy = self.ft.unwrap_or_default();
-        if let Some(spec) = self.lower(SpecMode::Ft(policy)) {
-            let SpecOutcome::Ft(r) = Self::run_lowered(&spec) else {
-                unreachable!("ft mode yields an ft outcome");
-            };
-            return r;
-        }
-        run_ft_impl(
-            self.app,
-            &self.cfg,
-            &policy,
-            self.cfg.injections,
-            self.cfg.injections,
-        )
+        let SpecOutcome::Ft(r) = self.run_mode(SpecMode::Ft(self.ft.unwrap_or_default())) else {
+            unreachable!("ft mode yields an ft outcome");
+        };
+        r
     }
 
     /// Run the chaos defense-coverage matrix: `injections` trials for
@@ -301,19 +285,12 @@ impl<'a> CampaignBuilder<'a> {
     /// columns replaying the byte-identical fault draw (see
     /// [`CampaignBuilder::chaos`]). Transient model only — the chaos
     /// models themselves are the matrix rows, not the builder's knob.
-    pub fn run_chaos(self) -> ChaosResult {
-        assert!(
-            self.model == FaultModel::Transient,
-            "chaos campaigns support the transient model only"
-        );
-        let policy = self.chaos.unwrap_or_default();
-        if let Some(spec) = self.lower(SpecMode::Chaos(policy)) {
-            let SpecOutcome::Chaos(r) = Self::run_lowered(&spec) else {
-                unreachable!("chaos mode yields a chaos outcome");
-            };
-            return r;
-        }
-        run_chaos_impl(self.app, &self.cfg, &policy)
+    pub fn run_chaos(self) -> MatrixResult {
+        let SpecOutcome::Chaos(r) = self.run_mode(SpecMode::Chaos(self.chaos.unwrap_or_default()))
+        else {
+            unreachable!("chaos mode yields a matrix outcome");
+        };
+        r
     }
 
     /// Run the performance-interference detector-comparison matrix:
@@ -322,19 +299,12 @@ impl<'a> CampaignBuilder<'a> {
     /// byte-identical fault draw (see [`CampaignBuilder::perturb`]).
     /// Transient model only — the perturb models themselves are the
     /// matrix rows, not the builder's knob.
-    pub fn run_perturb(self) -> PerturbResult {
-        assert!(
-            self.model == FaultModel::Transient,
-            "perturb campaigns support the transient model only"
-        );
-        let policy = self.perturb.unwrap_or_default();
-        if let Some(spec) = self.lower(SpecMode::Perturb(policy)) {
-            let SpecOutcome::Perturb(r) = Self::run_lowered(&spec) else {
-                unreachable!("perturb mode yields a perturb outcome");
-            };
-            return r;
-        }
-        run_perturb_impl(self.app, &self.cfg, &policy)
+    pub fn run_perturb(self) -> MatrixResult {
+        let mode = SpecMode::Perturb(self.perturb.unwrap_or_default());
+        let SpecOutcome::Perturb(r) = self.run_mode(mode) else {
+            unreachable!("perturb mode yields a matrix outcome");
+        };
+        r
     }
 
     /// Replay one recorded trial from its campaign coordinates (class
@@ -561,7 +531,7 @@ mod tests {
             .run_perturb();
         assert_eq!(r.cells.len(), 5 * 3);
         assert!(r.cells.iter().all(|c| c.trials.len() == 1));
-        assert!(r.insns_total > 0 && r.ref_rounds > 0);
+        assert!(r.insns_total > 0 && r.refs.rounds > Some(0));
     }
 
     #[test]

@@ -185,6 +185,12 @@ pub(crate) fn trial_world_config(
     wcfg
 }
 
+/// Sum of retired guest instructions across a world's ranks — the cost
+/// every trial reports.
+pub fn world_insns(w: &MpiWorld) -> u64 {
+    (0..w.nranks()).map(|r| w.machine(r).counters.insns).sum()
+}
+
 /// Build the epoch snapshot cache for the campaign fast path, or `None`
 /// when the configuration or the application rules forking out.
 pub(crate) fn build_epochs(
@@ -211,10 +217,9 @@ pub(crate) fn build_epochs(
     ))
 }
 
-/// Campaign execution (the [`crate::CampaignBuilder`] backend): a thin
-/// client of the engine — no control, no sink, no resume. The driver
-/// loop itself (scheduler, worker pool, slot-addressed records) lives
-/// in [`crate::engine`].
+/// An uncontrolled engine campaign on an already-built app — the tests'
+/// shorthand for [`crate::engine::run_campaign_engine`].
+#[cfg(test)]
 pub(crate) fn run_campaign_impl(
     app: &App,
     classes: &[TargetClass],
@@ -564,9 +569,7 @@ pub(crate) fn run_trial_inner(
     let exit = world.run();
     let output = app.comparable_output(&world);
     let outcome = classify(&exit, &output, &golden.output);
-    let insns = (0..app.params.nranks)
-        .map(|r| world.machine(r).counters.insns)
-        .sum();
+    let insns = world_insns(&world);
     TrialRun {
         record: TrialRecord {
             class,

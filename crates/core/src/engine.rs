@@ -21,17 +21,18 @@
 //!   canonical record stream and metrics are bit-identical to an
 //!   uninterrupted run's.
 //!
-//! [`run_campaign_impl`](crate::campaign) and the coverage/ft backends
-//! are thin clients of the internal `run_pool` scheduler; `faultlab
-//! serve` and the one-shot
-//! CLI verbs are thin clients of [`run_campaign_engine`]. There is
-//! exactly one way trials get scheduled, executed and recorded.
+//! [`run_campaign_engine`], the coverage/ft backends and the matrix
+//! engine ([`crate::matrix::run_matrix`]) are thin clients of the
+//! internal `run_pool` scheduler; `faultlab serve` and the one-shot CLI
+//! verbs are thin clients of [`run_spec`]. There is exactly one way
+//! trials get scheduled, executed and recorded.
 
 use crate::campaign::{
     build_epochs, run_trial_inner, trial_budget, trial_seed, CampaignConfig, CampaignResult,
     ClassResult, Dictionaries, TrialRecord,
 };
 use crate::json::{escape, parse, Json};
+use crate::matrix::run_matrix;
 use crate::obs::{trial_metrics, CampaignMetrics, ClassMetrics, TrialMetrics, KIND_COUNT};
 use crate::outcome::{Manifestation, Tally};
 use crate::progress::EngineProgress;
@@ -232,14 +233,18 @@ pub(crate) fn resolve_threads(n: usize) -> usize {
 
 /// The one scheduling loop every campaign flavour runs on: `counts[g]`
 /// trials per group, flattened, sharded across `threads` workers with
-/// stealing, slot-addressed results. Returns the slot vectors and
-/// whether every slot was filled (`false` after a stop).
+/// stealing, slot-addressed results. Every finished slot advances the
+/// progress counters on `sink` (`resumed` of the slots are adopted from
+/// a previous run). Returns the slot vectors and the final counters;
+/// a stop leaves [`EngineProgress::complete`] false.
 pub(crate) fn run_pool<T: Send>(
     counts: &[u32],
     threads: usize,
     control: &EngineControl,
+    sink: &dyn EngineSink,
+    resumed: u64,
     exec: impl Fn(usize, u32) -> T + Sync,
-) -> (Vec<Vec<Option<T>>>, bool) {
+) -> (Vec<Vec<Option<T>>>, EngineProgress) {
     let total: u32 = counts.iter().sum();
     let threads = resolve_threads(threads).max(1);
     let slots: Mutex<Vec<Vec<Option<T>>>> = Mutex::new(
@@ -255,6 +260,14 @@ pub(crate) fn run_pool<T: Send>(
         offsets.push(acc);
         acc += n;
     }
+    let done = AtomicU64::new(0);
+    let started = std::time::Instant::now();
+    let progress = |done| EngineProgress {
+        total: total as u64,
+        done,
+        resumed,
+        wall_nanos: started.elapsed().as_nanos() as u64,
+    };
     let sched = Scheduler::new(total, threads);
     crossbeam::thread::scope(|s| {
         for me in 0..threads {
@@ -262,6 +275,7 @@ pub(crate) fn run_pool<T: Send>(
             let slots = &slots;
             let exec = &exec;
             let offsets = &offsets;
+            let (done, progress) = (&done, &progress);
             s.spawn(move |_| {
                 while control.proceed() {
                     let Some(flat) = sched.claim(me) else {
@@ -282,14 +296,14 @@ pub(crate) fn run_pool<T: Send>(
                     let k = flat - offsets[g];
                     let t = exec(g, k);
                     slots.lock().unwrap()[g][k as usize] = Some(t);
+                    sink.progress(progress(done.fetch_add(1, Ordering::Relaxed) + 1));
                 }
             });
         }
     })
     .expect("campaign worker panicked");
     let slots = slots.into_inner().unwrap();
-    let complete = slots.iter().flatten().all(|s| s.is_some());
-    (slots, complete)
+    (slots, progress(done.into_inner()))
 }
 
 /// One finished trial, addressed by its campaign coordinates.
@@ -454,16 +468,15 @@ pub fn run_campaign_engine(
     // (their worlds ran in a previous process).
     let exec_stats = Mutex::new(ExecStats::default());
     let resume = resume.unwrap_or_default();
-    let resumed_total = resume.len() as u64;
-    let total = classes.len() as u64 * cfg.injections as u64;
-    let done = AtomicU64::new(0);
-    let started = std::time::Instant::now();
-
     let counts = vec![cfg.injections; classes.len()];
-    let (slots, complete) = run_pool(&counts, cfg.threads, control, |ci, k| {
-        let out = match resume.take(ci, k) {
-            Some(t) => t,
-            None => {
+    let (slots, progress) = run_pool(
+        &counts,
+        cfg.threads,
+        control,
+        sink,
+        resume.len() as u64,
+        |ci, k| {
+            resume.take(ci, k).unwrap_or_else(|| {
                 let run = run_trial_inner(
                     app,
                     &golden,
@@ -489,25 +502,10 @@ pub fn run_campaign_engine(
                 };
                 sink.trial(&t);
                 t
-            }
-        };
-        let d = done.fetch_add(1, Ordering::Relaxed) + 1;
-        sink.progress(EngineProgress {
-            total,
-            done: d,
-            resumed: resumed_total,
-            wall_nanos: started.elapsed().as_nanos() as u64,
-        });
-        out
-    });
-
-    let progress = EngineProgress {
-        total,
-        done: done.load(Ordering::Relaxed),
-        resumed: resumed_total,
-        wall_nanos: started.elapsed().as_nanos() as u64,
-    };
-    if !complete {
+            })
+        },
+    );
+    if !progress.complete() {
         return EngineRun {
             result: None,
             progress,
@@ -568,9 +566,9 @@ pub enum SpecOutcome {
     /// A fault-tolerance campaign's result.
     Ft(crate::ft::FtResult),
     /// A chaos defense-coverage campaign's result.
-    Chaos(crate::chaos::ChaosResult),
+    Chaos(crate::matrix::MatrixResult),
     /// A performance-interference campaign's result.
-    Perturb(crate::perturb::PerturbResult),
+    Perturb(crate::matrix::MatrixResult),
 }
 
 /// Run a [`CampaignSpec`] end to end on the engine — the single entry
@@ -593,38 +591,38 @@ pub fn run_spec(
         fl_apps::AppParams::default_for(spec.app)
     };
     let app = App::build(spec.app, params);
-    match &spec.mode {
-        SpecMode::Campaign => {
-            run_campaign_engine(&app, &spec.classes, &spec.campaign, sink, control, resume)
-                .result
-                .map(SpecOutcome::Campaign)
+    let (classes, cfg) = (&spec.classes, &spec.campaign);
+    run_mode(&app, classes, cfg, &spec.mode, sink, control, resume)
+}
+
+/// [`run_spec`] on an app already built — also one a spec cannot name
+/// (custom parameters), which is how [`crate::CampaignBuilder`] runs.
+pub(crate) fn run_mode(
+    app: &App,
+    classes: &[TargetClass],
+    cfg: &CampaignConfig,
+    mode: &SpecMode,
+    sink: &dyn EngineSink,
+    control: &EngineControl,
+    resume: Option<CompletedSlots>,
+) -> Option<SpecOutcome> {
+    match mode {
+        SpecMode::Campaign => run_campaign_engine(app, classes, cfg, sink, control, resume)
+            .result
+            .map(SpecOutcome::Campaign),
+        SpecMode::Guard(policy) => {
+            crate::guarded::run_coverage_engine(app, classes, cfg, policy, sink, control)
+                .map(SpecOutcome::Coverage)
         }
-        SpecMode::Guard(policy) => crate::guarded::run_coverage_engine(
-            &app,
-            &spec.classes,
-            &spec.campaign,
-            policy,
-            sink,
-            control,
-        )
-        .map(SpecOutcome::Coverage),
-        SpecMode::Ft(policy) => crate::ft::run_ft_engine(
-            &app,
-            &spec.campaign,
-            policy,
-            spec.campaign.injections,
-            spec.campaign.injections,
-            sink,
-            control,
-        )
-        .map(SpecOutcome::Ft),
+        SpecMode::Ft(policy) => {
+            let n = cfg.injections;
+            crate::ft::run_ft_engine(app, cfg, policy, n, n, sink, control).map(SpecOutcome::Ft)
+        }
         SpecMode::Chaos(policy) => {
-            crate::chaos::run_chaos_engine(&app, &spec.campaign, policy, sink, control, resume)
-                .map(SpecOutcome::Chaos)
+            run_matrix(app, cfg, policy, sink, control, resume).map(SpecOutcome::Chaos)
         }
         SpecMode::Perturb(policy) => {
-            crate::perturb::run_perturb_engine(&app, &spec.campaign, policy, sink, control, resume)
-                .map(SpecOutcome::Perturb)
+            run_matrix(app, cfg, policy, sink, control, resume).map(SpecOutcome::Perturb)
         }
     }
 }
@@ -829,8 +827,8 @@ mod tests {
     #[test]
     fn pool_slots_are_complete_and_ordered() {
         let control = EngineControl::new();
-        let (slots, complete) = run_pool(&[5, 3], 3, &control, |g, k| (g, k));
-        assert!(complete);
+        let (slots, p) = run_pool(&[5, 3], 3, &control, &NullSink, 0, |g, k| (g, k));
+        assert!(p.complete());
         assert_eq!(slots.len(), 2);
         for (g, group) in slots.iter().enumerate() {
             for (k, s) in group.iter().enumerate() {
@@ -842,8 +840,8 @@ mod tests {
     #[test]
     fn pool_handles_empty_groups() {
         let control = EngineControl::new();
-        let (slots, complete) = run_pool(&[0, 4, 0, 2], 2, &control, |g, k| (g, k));
-        assert!(complete);
+        let (slots, p) = run_pool(&[0, 4, 0, 2], 2, &control, &NullSink, 0, |g, k| (g, k));
+        assert!(p.complete());
         assert!(slots[0].is_empty() && slots[2].is_empty());
         assert_eq!(slots[1][3], Some((1, 3)));
         assert_eq!(slots[3][1], Some((3, 1)));
@@ -853,13 +851,13 @@ mod tests {
     fn stopped_pool_returns_partial() {
         let control = EngineControl::new();
         let ran = AtomicU64::new(0);
-        let (slots, complete) = run_pool(&[64], 1, &control, |_, k| {
+        let (slots, p) = run_pool(&[64], 1, &control, &NullSink, 0, |_, k| {
             if ran.fetch_add(1, Ordering::Relaxed) + 1 == 10 {
                 control.stop();
             }
             k
         });
-        assert!(!complete);
+        assert!(!p.complete());
         let filled = slots[0].iter().filter(|s| s.is_some()).count();
         assert!((10..64).contains(&filled), "filled {filled}");
     }
@@ -1005,11 +1003,11 @@ mod tests {
         let done = AtomicU64::new(0);
         crossbeam::thread::scope(|s| {
             s.spawn(|_| {
-                let (_, complete) = run_pool(&[8], 2, &control, |_, k| {
+                let (_, p) = run_pool(&[8], 2, &control, &NullSink, 0, |_, k| {
                     done.fetch_add(1, Ordering::Relaxed);
                     k
                 });
-                assert!(complete);
+                assert!(p.complete());
             });
             // Workers are parked: nothing completes while paused.
             std::thread::sleep(std::time::Duration::from_millis(50));

@@ -131,19 +131,13 @@ impl FaultModel {
 
     /// Every model the `chaos` campaign sweeps: network, then system,
     /// then correlated.
-    pub fn chaos_models() -> [FaultModel; 9] {
-        let mut out = [FaultModel::Transient; 9];
-        let mut i = 0;
-        for m in Self::network_models()
-            .into_iter()
-            .chain(Self::system_models())
-            .chain(Self::correlated_models())
-        {
-            out[i] = m;
-            i += 1;
-        }
-        assert_eq!(i, 9);
-        out
+    pub const fn chaos_models() -> [FaultModel; 9] {
+        let (n, s, c) = (
+            Self::network_models(),
+            Self::system_models(),
+            Self::correlated_models(),
+        );
+        [n[0], n[1], n[2], n[3], n[4], s[0], s[1], c[0], c[1]]
     }
 
     /// Every variant there is: bit-duration, process-level, chaos, then

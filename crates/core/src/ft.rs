@@ -14,10 +14,9 @@
 use crate::campaign::{
     draw_fault, trial_budget, trial_seed, trial_world_config, CampaignConfig, Dictionaries,
 };
-use crate::engine::{run_pool, EngineControl, EngineSink, NullSink};
-use crate::guarded::slug;
-use crate::outcome::{classify, Manifestation, Tally};
-use crate::progress::EngineProgress;
+use crate::engine::{run_pool, EngineControl, EngineSink};
+use crate::matrix::shrunken_output;
+use crate::outcome::{classify, percent, Manifestation, Tally};
 use crate::target::TargetClass;
 use fl_apps::{App, AppKind, Golden};
 use fl_ft::{run_app, run_replicated, run_respawn, run_shrink, FtMode, FtPolicy, RankKill};
@@ -25,7 +24,6 @@ use fl_mpi::{MpiWorld, WorldExit};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Draw the kill for trial seed `s`: victim rank, a firing clock inside
 /// its golden block count (so the kill always lands mid-run), and the
@@ -137,16 +135,16 @@ impl FtResult {
     /// Baseline kill errors shrink converted to `Recovered`, in percent.
     pub fn shrink_recovery_percent(&self) -> f64 {
         percent(
-            self.kills.iter().filter(|t| t.shrink_recovered()).count(),
-            self.kill_errors(),
+            self.kills.iter().filter(|t| t.shrink_recovered()).count() as u64,
+            self.kill_errors().into(),
         )
     }
 
     /// Baseline kill errors respawn converted to `Recovered`, in percent.
     pub fn respawn_recovery_percent(&self) -> f64 {
         percent(
-            self.kills.iter().filter(|t| t.respawn_recovered()).count(),
-            self.kill_errors(),
+            self.kills.iter().filter(|t| t.respawn_recovered()).count() as u64,
+            self.kill_errors().into(),
         )
     }
 
@@ -154,8 +152,8 @@ impl FtResult {
     /// `RecoveredByApp`, in percent.
     pub fn app_recovery_percent(&self) -> f64 {
         percent(
-            self.kills.iter().filter(|t| t.app_recovered()).count(),
-            self.kill_errors(),
+            self.kills.iter().filter(|t| t.app_recovered()).count() as u64,
+            self.kill_errors().into(),
         )
     }
 
@@ -170,8 +168,8 @@ impl FtResult {
     /// Baseline message-fault errors the vote masked, in percent.
     pub fn masked_percent(&self) -> f64 {
         percent(
-            self.replicas.iter().filter(|t| t.masked()).count(),
-            self.replica_errors(),
+            self.replicas.iter().filter(|t| t.masked()).count() as u64,
+            self.replica_errors().into(),
         )
     }
 
@@ -185,95 +183,25 @@ impl FtResult {
     }
 }
 
-fn percent(num: usize, den: u32) -> f64 {
-    if den == 0 {
-        return 0.0;
-    }
-    100.0 * num as f64 / den as f64
-}
-
-/// Classify a shrink-mode run. An intervened run solved the smaller
-/// survivor problem, so correctness is judged against the shrunken
-/// golden; an untouched run is judged against the original.
-pub(crate) fn classify_shrink(
+/// Classify a run under a recovery discipline. A clean exit after the
+/// discipline acted — `acted` is the class that earns: `Recovered` for
+/// shrink and respawn, `RecoveredByApp` for app-owned (fl-ulfm)
+/// recovery, `MaskedByReplica` for a replica vote — counts only if the
+/// output matches `expected` (the golden output, or the shrunken one
+/// when a shrink left the survivors solving a smaller problem), and is
+/// `Incorrect` otherwise. An untouched or unclean run classifies as
+/// usual against `golden_output`.
+pub fn classify_recovery(
     exit: &WorldExit,
     output: &[u8],
-    intervened: bool,
-    golden: &Golden,
-    shrunken_output: &[u8],
+    acted: Option<Manifestation>,
+    expected: &[u8],
+    golden_output: &[u8],
 ) -> Manifestation {
-    match exit {
-        WorldExit::Clean if intervened => {
-            if output == shrunken_output {
-                Manifestation::Recovered
-            } else {
-                Manifestation::Incorrect
-            }
-        }
-        _ => classify(exit, output, &golden.output),
-    }
-}
-
-/// Classify a respawn-mode run: a recovered run must reproduce the
-/// original-size answer.
-fn classify_respawn(
-    exit: &WorldExit,
-    output: &[u8],
-    intervened: bool,
-    golden: &Golden,
-) -> Manifestation {
-    match exit {
-        WorldExit::Clean if intervened => {
-            if output == golden.output {
-                Manifestation::Recovered
-            } else {
-                Manifestation::Incorrect
-            }
-        }
-        _ => classify(exit, output, &golden.output),
-    }
-}
-
-/// Classify a ulfm-mode run, where recovery belongs to the application.
-/// A clean exit whose world the app shrank and whose output matches the
-/// original golden is `RecoveredByApp`; a clean exit with no shrink
-/// means the kill never disturbed the app (same as `Correct`/
-/// `Incorrect` classification); anything else classifies as usual.
-pub(crate) fn classify_app(
-    exit: &WorldExit,
-    output: &[u8],
-    app_shrinks: u32,
-    golden: &Golden,
-) -> Manifestation {
-    match exit {
-        WorldExit::Clean if app_shrinks > 0 => {
-            if output == golden.output {
-                Manifestation::RecoveredByApp
-            } else {
-                Manifestation::Incorrect
-            }
-        }
-        _ => classify(exit, output, &golden.output),
-    }
-}
-
-/// Classify a replicated run: a clean matching winner with at least one
-/// replica voted out means the fault was masked by replication.
-pub(crate) fn classify_replicated(
-    exit: &WorldExit,
-    output: &[u8],
-    votes: u32,
-    golden: &Golden,
-) -> Manifestation {
-    match exit {
-        WorldExit::Clean if votes > 0 => {
-            if output == golden.output {
-                Manifestation::MaskedByReplica
-            } else {
-                Manifestation::Incorrect
-            }
-        }
-        _ => classify(exit, output, &golden.output),
+    match (exit, acted) {
+        (WorldExit::Clean, Some(m)) if output == expected => m,
+        (WorldExit::Clean, Some(_)) => Manifestation::Incorrect,
+        _ => classify(exit, output, golden_output),
     }
 }
 
@@ -284,33 +212,13 @@ enum FtTrial {
     Replica(FtReplicaTrial),
 }
 
-/// Ft-campaign execution (the [`crate::CampaignBuilder::run_ft`]
-/// backend). `kill_trials` rank kills are each run bare + shrink +
-/// respawn; `replica_trials` message faults are each run bare +
-/// replicated. All runs are cold — recovery owns its own checkpoints.
-pub(crate) fn run_ft_impl(
-    app: &App,
-    cfg: &CampaignConfig,
-    policy: &FtPolicy,
-    kill_trials: u32,
-    replica_trials: u32,
-) -> FtResult {
-    run_ft_engine(
-        app,
-        cfg,
-        policy,
-        kill_trials,
-        replica_trials,
-        &NullSink,
-        &EngineControl::new(),
-    )
-    .expect("uncontrolled ft runs always complete")
-}
-
 /// Ft campaign on the shared engine pool: kills and replication trials
 /// are one flattened slot space, stolen across workers; pause/stop via
-/// `control`, progress through `sink`. Returns `None` when stopped
-/// before every trial completed.
+/// `control`, progress through `sink`. `kill_trials` rank kills are each
+/// run bare + shrink + respawn + app-owned; `replica_trials` message
+/// faults are each run bare + replicated. All runs are cold — recovery
+/// owns its own checkpoints. Returns `None` when stopped before every
+/// trial completed.
 pub fn run_ft_engine(
     app: &App,
     cfg: &CampaignConfig,
@@ -326,18 +234,7 @@ pub fn run_ft_engine(
 
     // The survivor-count reference: the same image run cold at one fewer
     // rank (the apps are weak-scaled, so this is a different answer).
-    let shrunken_output = {
-        let mut scfg = trial_world_config(app, budget, 0, cfg.fastpath);
-        scfg.nranks -= 1;
-        let mut w = MpiWorld::new(&app.image, scfg);
-        let exit = w.run();
-        assert_eq!(exit, WorldExit::Clean, "shrunken golden run must be clean");
-        app.comparable_output(&w)
-    };
-
-    let total = kill_trials as u64 + replica_trials as u64;
-    let done = AtomicU64::new(0);
-    let started = std::time::Instant::now();
+    let shrunken_output = shrunken_output(app, budget, cfg.fastpath);
 
     // Kill trials are class position 0 of the seed space, replication
     // trials position 1 — the same coordinates the old per-family loops
@@ -361,24 +258,31 @@ pub fn run_ft_engine(
         let baseline = classify(&bare_exit, &app.comparable_output(&bare), &golden.output);
 
         let (sw, sr) = run_shrink(&app.image, wcfg, policy, |w| w.set_rank_kill(kill));
-        let shrink = classify_shrink(
+        let shrink = classify_recovery(
             &sr.exit,
             &app.comparable_output(&sw),
-            sr.intervened(),
-            &golden,
+            sr.intervened().then_some(Manifestation::Recovered),
             &shrunken_output,
+            &golden.output,
         );
 
         let (rw, rr) = run_respawn(&app.image, wcfg, policy, |w| w.set_rank_kill(kill));
-        let respawn = classify_respawn(
+        let respawn = classify_recovery(
             &rr.exit,
             &app.comparable_output(&rw),
-            rr.intervened(),
-            &golden,
+            rr.intervened().then_some(Manifestation::Recovered),
+            &golden.output,
+            &golden.output,
         );
 
         let (aw, ar) = run_app(&app.image, wcfg, policy, |w| w.set_rank_kill(kill));
-        let app_m = classify_app(&ar.exit, &app.comparable_output(&aw), ar.shrinks, &golden);
+        let app_m = classify_recovery(
+            &ar.exit,
+            &app.comparable_output(&aw),
+            (ar.shrinks > 0).then_some(Manifestation::RecoveredByApp),
+            &golden.output,
+            &golden.output,
+        );
 
         FtKillTrial {
             detail,
@@ -428,8 +332,13 @@ pub fn run_ft_engine(
             },
             |w| app.comparable_output(w),
         );
-        let replicated =
-            classify_replicated(&vr.exit, &app.comparable_output(&vw), vr.votes, &golden);
+        let replicated = classify_recovery(
+            &vr.exit,
+            &app.comparable_output(&vw),
+            (vr.votes > 0).then_some(Manifestation::MaskedByReplica),
+            &golden.output,
+            &golden.output,
+        );
 
         FtReplicaTrial {
             detail,
@@ -439,27 +348,15 @@ pub fn run_ft_engine(
         }
     };
 
-    let (mut slots, complete) = run_pool(
-        &[kill_trials, replica_trials],
-        cfg.threads,
-        control,
-        |g, k| {
-            let t = if g == 0 {
-                FtTrial::Kill(run_kill(k))
-            } else {
-                FtTrial::Replica(run_replica(k))
-            };
-            let d = done.fetch_add(1, Ordering::Relaxed) + 1;
-            sink.progress(EngineProgress {
-                total,
-                done: d,
-                resumed: 0,
-                wall_nanos: started.elapsed().as_nanos() as u64,
-            });
-            t
-        },
-    );
-    if !complete {
+    let counts = [kill_trials, replica_trials];
+    let (mut slots, progress) = run_pool(&counts, cfg.threads, control, sink, 0, |g, k| {
+        if g == 0 {
+            FtTrial::Kill(run_kill(k))
+        } else {
+            FtTrial::Replica(run_replica(k))
+        }
+    });
+    if !progress.complete() {
         return None;
     }
     let replicas = slots
@@ -597,7 +494,7 @@ pub fn render_ft_focus(r: &FtResult, mode: FtMode) -> String {
 pub fn render_ft_tsv(r: &FtResult) -> String {
     let mut out = String::from("mode\ttrials");
     for m in Manifestation::ALL {
-        let _ = write!(out, "\t{}", slug(m));
+        let _ = write!(out, "\t{}", m.slug());
     }
     out.push_str("\trecovery_pct\n");
     let rows: [(&str, Tally, f64); 4] = [
@@ -646,11 +543,11 @@ pub fn ft_jsonl(r: &FtResult) -> String {
             "{{\"app\":\"{}\",\"kind\":\"kill\",\"trial\":{k},\"detail\":\"{}\",\"baseline\":\"{}\",\"shrink\":\"{}\",\"respawn\":\"{}\",\"respawns\":{},\"app_mode\":\"{}\",\"app_shrinks\":{},\"shrink_recovered\":{},\"respawn_recovered\":{},\"app_recovered\":{}}}",
             r.app.name(),
             t.detail,
-            slug(t.baseline),
-            slug(t.shrink),
-            slug(t.respawn),
+            t.baseline.slug(),
+            t.shrink.slug(),
+            t.respawn.slug(),
             t.respawns,
-            slug(t.app),
+            t.app.slug(),
             t.app_shrinks,
             t.shrink_recovered(),
             t.respawn_recovered(),
@@ -663,8 +560,8 @@ pub fn ft_jsonl(r: &FtResult) -> String {
             "{{\"app\":\"{}\",\"kind\":\"replica\",\"trial\":{k},\"detail\":\"{}\",\"baseline\":\"{}\",\"replicated\":\"{}\",\"votes\":{},\"masked\":{}}}",
             r.app.name(),
             t.detail,
-            slug(t.baseline),
-            slug(t.replicated),
+            t.baseline.slug(),
+            t.replicated.slug(),
             t.votes,
             t.masked(),
         );
@@ -675,20 +572,26 @@ pub fn ft_jsonl(r: &FtResult) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::NullSink;
     use fl_apps::AppParams;
 
     fn ft(kind: AppKind, kills: u32, reps: u32, seed: u64) -> FtResult {
         let app = App::build(kind, AppParams::tiny(kind));
-        run_ft_impl(
+        let cfg = CampaignConfig {
+            seed,
+            ..Default::default()
+        };
+        let policy = FtPolicy::default();
+        run_ft_engine(
             &app,
-            &CampaignConfig {
-                seed,
-                ..Default::default()
-            },
-            &FtPolicy::default(),
+            &cfg,
+            &policy,
             kills,
             reps,
+            &NullSink,
+            &EngineControl::new(),
         )
+        .unwrap()
     }
 
     #[test]

@@ -19,16 +19,13 @@ use crate::campaign::{
     build_epochs, draw_fault, run_trial_inner, trial_budget, trial_seed, trial_world_config,
     CampaignConfig, Dictionaries,
 };
-use crate::engine::{run_pool, EngineControl, EngineSink, NullSink};
-use crate::outcome::Manifestation;
-use crate::outcome::Tally;
-use crate::progress::EngineProgress;
+use crate::engine::{run_pool, EngineControl, EngineSink};
+use crate::outcome::{percent, Manifestation, Tally};
 use crate::target::TargetClass;
 use fl_apps::{App, AppKind, Golden};
 use fl_guard::{run_guarded, GuardPolicy, GuardReport};
 use fl_mpi::WorldExit;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One paired trial: the identical fault, bare and guarded.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -121,11 +118,7 @@ impl CoverageClassResult {
 
     /// Detection coverage: converted / baseline errors, in percent.
     pub fn coverage_percent(&self) -> f64 {
-        let e = self.baseline.errors();
-        if e == 0 {
-            return 0.0;
-        }
-        100.0 * self.converted() as f64 / e as f64
+        percent(self.converted().into(), self.baseline.errors().into())
     }
 }
 
@@ -159,23 +152,11 @@ impl CoverageResult {
     }
 }
 
-/// Machine-readable manifestation slug (JSONL field values) — now a
-/// thin alias for [`Manifestation::slug`], kept for the module-local
-/// call sites.
-pub(crate) fn slug(m: Manifestation) -> &'static str {
-    m.slug()
-}
-
 /// Run one fault under the guard and classify the pair-able outcome.
 ///
 /// The fault is drawn from `trial_seed` exactly as the unguarded
 /// [`crate::run_trial`] path draws it, then armed on a world running
-/// under `policy`. Classification extends §5.1 with the guarded classes:
-/// a clean finish with matching output is `Correct` if the guard never
-/// intervened and `Recovered` if it did; a clean finish with wrong
-/// output is still `Incorrect` (the guard cannot see silent data
-/// corruption); any non-clean final exit — the restart budget ran out —
-/// is `DetectedByGuard`.
+/// under `policy`, and classified by [`classify_guarded`].
 #[allow(clippy::too_many_arguments)]
 pub fn run_guarded_trial(
     app: &App,
@@ -191,41 +172,34 @@ pub fn run_guarded_trial(
     let mut cfg = trial_world_config(app, budget, 0, fastpath);
     cfg.seed = trial_seed; // vary moldyn's schedule per trial (§4.2.2)
     let (world, report) = run_guarded(&app.image, cfg, policy, |w| drawn.arm(w));
-    let outcome = match &report.exit {
-        WorldExit::Clean => {
-            if app.comparable_output(&world) == golden.output {
-                if report.intervened() {
-                    Manifestation::Recovered
-                } else {
-                    Manifestation::Correct
-                }
-            } else {
-                Manifestation::Incorrect
-            }
-        }
-        _ => Manifestation::DetectedByGuard,
-    };
+    let outcome = classify_guarded(&report, &app.comparable_output(&world), &golden.output);
     (outcome, report)
 }
 
-/// Coverage-campaign execution (the
-/// [`crate::CampaignBuilder::run_coverage`] backend). Baseline runs may
-/// fork from epoch checkpoints (observably identical, per the campaign
-/// invariant); guarded runs always start cold — their checkpoints belong
-/// to the guarded world itself.
-pub(crate) fn run_coverage_impl(
-    app: &App,
-    classes: &[TargetClass],
-    cfg: &CampaignConfig,
-    policy: &GuardPolicy,
-) -> CoverageResult {
-    run_coverage_engine(app, classes, cfg, policy, &NullSink, &EngineControl::new())
-        .expect("uncontrolled coverage runs always complete")
+/// Classify a guarded run: a clean finish with matching output is
+/// `Correct` if the guard never intervened and `Recovered` if it did; a
+/// clean finish with wrong output is still `Incorrect` (the guard cannot
+/// see silent data corruption); any non-clean final exit — the restart
+/// budget ran out — is `DetectedByGuard`.
+pub fn classify_guarded(
+    report: &GuardReport,
+    output: &[u8],
+    golden_output: &[u8],
+) -> Manifestation {
+    match report.exit {
+        WorldExit::Clean if output != golden_output => Manifestation::Incorrect,
+        WorldExit::Clean if report.intervened() => Manifestation::Recovered,
+        WorldExit::Clean => Manifestation::Correct,
+        _ => Manifestation::DetectedByGuard,
+    }
 }
 
 /// Coverage campaign on the shared engine pool: work stealing across
-/// classes, pause/stop via `control`, progress through `sink`. Returns
-/// `None` when stopped before every paired trial completed.
+/// classes, pause/stop via `control`, progress through `sink`. Baseline
+/// runs may fork from epoch checkpoints (observably identical, per the
+/// campaign invariant); guarded runs always start cold — their
+/// checkpoints belong to the guarded world itself. Returns `None` when
+/// stopped before every paired trial completed.
 pub fn run_coverage_engine(
     app: &App,
     classes: &[TargetClass],
@@ -240,11 +214,8 @@ pub fn run_coverage_engine(
     let code = cfg.fastpath.then(|| app.image.pre_decode());
     let epochs = build_epochs(app, cfg, budget, code.as_ref());
 
-    let total = classes.len() as u64 * cfg.injections as u64;
-    let done = AtomicU64::new(0);
-    let started = std::time::Instant::now();
     let counts = vec![cfg.injections; classes.len()];
-    let (slots, complete) = run_pool(&counts, cfg.threads, control, |ci, k| {
+    let (slots, progress) = run_pool(&counts, cfg.threads, control, sink, 0, |ci, k| {
         let class = classes[ci];
         let seed = trial_seed(cfg.seed, ci, k);
         let base = run_trial_inner(
@@ -270,13 +241,6 @@ pub fn run_coverage_engine(
             policy,
             cfg.fastpath,
         );
-        let d = done.fetch_add(1, Ordering::Relaxed) + 1;
-        sink.progress(EngineProgress {
-            total,
-            done: d,
-            resumed: 0,
-            wall_nanos: started.elapsed().as_nanos() as u64,
-        });
         GuardedTrialRecord {
             class,
             detail: base.detail,
@@ -287,7 +251,7 @@ pub fn run_coverage_engine(
             retransmits: report.retransmits,
         }
     });
-    if !complete {
+    if !progress.complete() {
         return None;
     }
 
@@ -385,10 +349,10 @@ pub fn render_coverage(r: &CoverageResult, title: &str) -> String {
 pub fn render_coverage_tsv(r: &CoverageResult) -> String {
     let mut out = String::from("region\ttrials");
     for m in Manifestation::ALL {
-        let _ = write!(out, "\tbase_{}", slug(m));
+        let _ = write!(out, "\tbase_{}", m.slug());
     }
     for m in Manifestation::ALL {
-        let _ = write!(out, "\tguard_{}", slug(m));
+        let _ = write!(out, "\tguard_{}", m.slug());
     }
     out.push_str("\tconverted\tcoverage_pct\n");
     for c in &r.classes {
@@ -417,8 +381,8 @@ pub fn coverage_jsonl(r: &CoverageResult) -> String {
                 r.app.name(),
                 c.class.name(),
                 t.detail,
-                slug(t.baseline),
-                slug(t.guarded),
+                t.baseline.slug(),
+                t.guarded.slug(),
                 t.detections,
                 t.restarts,
                 t.retransmits,
@@ -432,6 +396,7 @@ pub fn coverage_jsonl(r: &CoverageResult) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::NullSink;
     use fl_apps::AppParams;
 
     fn coverage(
@@ -442,16 +407,20 @@ mod tests {
         policy: &GuardPolicy,
     ) -> CoverageResult {
         let app = App::build(kind, AppParams::tiny(kind));
-        run_coverage_impl(
+        let cfg = CampaignConfig {
+            injections: n,
+            seed,
+            ..Default::default()
+        };
+        run_coverage_engine(
             &app,
             classes,
-            &CampaignConfig {
-                injections: n,
-                seed,
-                ..Default::default()
-            },
+            &cfg,
             policy,
+            &NullSink,
+            &EngineControl::new(),
         )
+        .unwrap()
     }
 
     #[test]
@@ -566,8 +535,16 @@ mod tests {
             ..Default::default()
         };
         let plain = crate::campaign::run_campaign_impl(&app, &[TargetClass::Message], &cfg);
-        let paired =
-            run_coverage_impl(&app, &[TargetClass::Message], &cfg, &GuardPolicy::default());
+        let policy = GuardPolicy::default();
+        let paired = run_coverage_engine(
+            &app,
+            &[TargetClass::Message],
+            &cfg,
+            &policy,
+            &NullSink,
+            &EngineControl::new(),
+        )
+        .unwrap();
         for (p, g) in plain.classes[0]
             .trials
             .iter()

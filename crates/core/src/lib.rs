@@ -46,6 +46,7 @@ pub mod faultmodel;
 pub mod ft;
 pub mod guarded;
 pub mod json;
+pub mod matrix;
 pub mod obs;
 pub mod outcome;
 pub mod perturb;
@@ -62,13 +63,9 @@ pub use builder::CampaignBuilder;
 #[allow(deprecated)] // re-exported for compatibility; see their notes
 pub use campaign::{run_trial, run_trial_forked, run_trial_traced};
 pub use campaign::{
-    trial_seed, CampaignConfig, CampaignResult, ClassResult, Dictionaries, TrialRecord,
+    trial_seed, world_insns, CampaignConfig, CampaignResult, ClassResult, Dictionaries, TrialRecord,
 };
-pub use chaos::{
-    chaos_classes, chaos_jsonl, draw_chaos, is_covered, render_chaos, render_chaos_focus,
-    render_chaos_tsv, run_chaos_engine, syscall_counts, ChaosCell, ChaosFault, ChaosPolicy,
-    ChaosResult, ContractCheck, Defense, SyscallCounts,
-};
+pub use chaos::{draw_chaos, ChaosFault, ChaosPolicy, Defense};
 pub use config::{parse_spec, ConfigError, ExperimentSpec};
 pub use engine::{
     parse_record_line, record_line, run_campaign_engine, run_spec, sort_records_jsonl,
@@ -82,23 +79,28 @@ pub use fl_ft::{
 };
 pub use fl_guard::{run_guarded, GuardPolicy, GuardReport};
 pub use ft::{
-    draw_kill, ft_jsonl, render_ft, render_ft_focus, render_ft_tsv, run_ft_engine, FtKillTrial,
-    FtReplicaTrial, FtResult,
+    classify_recovery, draw_kill, ft_jsonl, render_ft, render_ft_focus, render_ft_tsv,
+    run_ft_engine, FtKillTrial, FtReplicaTrial, FtResult,
 };
 pub use guarded::{
-    coverage_jsonl, render_coverage, render_coverage_tsv, run_coverage_engine, run_guarded_trial,
-    CoverageClassResult, CoverageResult, GuardedTrialRecord, TransitionMatrix,
+    classify_guarded, coverage_jsonl, render_coverage, render_coverage_tsv, run_coverage_engine,
+    run_guarded_trial, CoverageClassResult, CoverageResult, GuardedTrialRecord, TransitionMatrix,
+};
+pub use matrix::{
+    is_covered, run_matrix, syscall_counts, ContractCheck, MatrixCell, MatrixResult, Preset,
+    SyscallCounts,
 };
 pub use obs::{
     exec_cache_jsonl, exec_cache_tsv, trial_metrics, CampaignMetrics, ClassMetrics, TrialMetrics,
     TrialTrace,
 };
 pub use outcome::{classify, Manifestation, Tally};
-pub use perturb::{
-    classify_perturb, draw_perturb, perturb_classes, perturb_jsonl, render_perturb,
-    render_perturb_focus, render_perturb_tsv, run_perturb_engine, Detection, PerturbCell,
-    PerturbFault, PerturbPolicy, PerturbResult,
-};
+pub use perturb::{classify_perturb, draw_perturb, Detection, PerturbFault, PerturbPolicy};
+
+/// The chaos matrix's result: a [`MatrixResult`] over the chaos grid.
+pub type ChaosResult = MatrixResult;
+/// The perturb matrix's result: a [`MatrixResult`] over the perturb grid.
+pub type PerturbResult = MatrixResult;
 pub use progress::{
     EngineProgress, ProgressMonitor, ProgressSample, ProgressVerdict, StderrProgress,
 };

@@ -163,6 +163,15 @@ pub fn classify(exit: &WorldExit, output: &[u8], golden_output: &[u8]) -> Manife
     }
 }
 
+/// `num` in percent of `den` (0 with an empty denominator) — every
+/// rate and coverage figure the reports print.
+pub(crate) fn percent(num: u64, den: u64) -> f64 {
+    if den == 0 {
+        return 0.0;
+    }
+    100.0 * num as f64 / den as f64
+}
+
 /// Aggregated counts for one injection region (one row of Tables 2–4).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Tally {
@@ -192,20 +201,16 @@ impl Tally {
 
     /// The paper's error rate: errors / executions, in percent.
     pub fn error_rate_percent(&self) -> f64 {
-        if self.executions == 0 {
-            return 0.0;
-        }
-        100.0 * self.errors() as f64 / self.executions as f64
+        percent(self.errors().into(), self.executions.into())
     }
 
     /// Percentage of *manifested errors* in class `m` — the tables'
     /// "Error Manifestations (Percent)" columns.
     pub fn manifestation_percent(&self, m: Manifestation) -> f64 {
-        let e = self.errors();
-        if e == 0 || m == Manifestation::Correct {
+        if m == Manifestation::Correct {
             return 0.0;
         }
-        100.0 * self.count(m) as f64 / e as f64
+        percent(self.count(m).into(), self.errors().into())
     }
 
     /// Merge another tally into this one.

@@ -43,6 +43,11 @@ impl EngineProgress {
         self.done.saturating_sub(self.resumed)
     }
 
+    /// Has every slot finished (the run was not stopped early)?
+    pub fn complete(&self) -> bool {
+        self.done == self.total
+    }
+
     /// Completed fraction in percent (100 for an empty campaign).
     pub fn percent(&self) -> f64 {
         if self.total == 0 {

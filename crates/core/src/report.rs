@@ -19,7 +19,7 @@ use crate::ft::{ft_jsonl, render_ft, render_ft_tsv, FtResult};
 use crate::guarded::{coverage_jsonl, render_coverage, render_coverage_tsv, CoverageResult};
 use crate::json::escape;
 use crate::obs::CampaignMetrics;
-use crate::outcome::Manifestation;
+use crate::outcome::{percent, Manifestation};
 use crate::target::TargetClass;
 use fl_apps::AppKind;
 use std::collections::BTreeMap;
@@ -285,11 +285,7 @@ pub fn render_register_breakdown(c: &ClassResult) -> String {
         "Register", "Trials", "Errors", "Rate(%)"
     );
     for (reg, (n, e)) in register_breakdown(c) {
-        let rate = if n > 0 {
-            100.0 * e as f64 / n as f64
-        } else {
-            0.0
-        };
+        let rate = percent(e.into(), n.into());
         let _ = writeln!(out, "{reg:<8} {n:>6} {e:>7} {rate:>8.1}");
     }
     out

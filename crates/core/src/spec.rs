@@ -16,6 +16,7 @@
 use crate::campaign::CampaignConfig;
 use crate::chaos::ChaosPolicy;
 use crate::json::{parse, Json};
+use crate::matrix::Preset;
 use crate::perturb::PerturbPolicy;
 use crate::target::TargetClass;
 use fl_apps::AppKind;
@@ -50,6 +51,72 @@ impl SpecMode {
             SpecMode::Chaos(_) => "chaos",
             SpecMode::Perturb(_) => "perturb",
         }
+    }
+
+    /// Every mode's wire name.
+    pub const NAMES: [&'static str; 5] = ["campaign", "guard", "ft", "chaos", "perturb"];
+
+    /// The mode with wire name `name`, carrying its default policy.
+    pub fn named(name: &str) -> Option<SpecMode> {
+        Some(match name {
+            "campaign" => SpecMode::Campaign,
+            "guard" => SpecMode::Guard(GuardPolicy::default()),
+            "ft" => SpecMode::Ft(FtPolicy::default()),
+            "chaos" => SpecMode::Chaos(ChaosPolicy::default()),
+            "perturb" => SpecMode::Perturb(PerturbPolicy::default()),
+            _ => return None,
+        })
+    }
+
+    fn knobs(&self) -> Option<&dyn KnobSet> {
+        match self {
+            SpecMode::Campaign => None,
+            SpecMode::Guard(p) => Some(p),
+            SpecMode::Ft(p) => Some(p),
+            SpecMode::Chaos(p) => Some(p),
+            SpecMode::Perturb(p) => Some(p),
+        }
+    }
+
+    fn knobs_mut(&mut self) -> Option<&mut dyn KnobSet> {
+        match self {
+            SpecMode::Campaign => None,
+            SpecMode::Guard(p) => Some(p),
+            SpecMode::Ft(p) => Some(p),
+            SpecMode::Chaos(p) => Some(p),
+            SpecMode::Perturb(p) => Some(p),
+        }
+    }
+
+    /// The CLI flags of this mode's policy knobs.
+    pub fn flags(&self) -> Vec<&'static str> {
+        self.knobs().map_or_else(Vec::new, |k| k.flags())
+    }
+
+    /// Set this mode's policy knobs from CLI flags: `value(flag)` is the
+    /// value given for `--flag`, if any. A value that is not a number,
+    /// or too wide for its field, is an error naming the flag.
+    pub fn set_flags<'a>(&mut self, value: &dyn Fn(&str) -> Option<&'a str>) -> Result<(), String> {
+        match self.knobs_mut() {
+            Some(k) => k.read_flags(value),
+            None => Ok(()),
+        }
+    }
+
+    /// The matrix preset of a chaos or perturb mode.
+    pub fn preset(&self) -> Option<&dyn Preset> {
+        match self {
+            SpecMode::Chaos(p) => Some(p),
+            SpecMode::Perturb(p) => Some(p),
+            _ => None,
+        }
+    }
+
+    /// Does this mode stream per-trial records a restarted campaign can
+    /// adopt? Plain campaigns and matrix presets do; guard and ft
+    /// campaigns do not.
+    pub fn streams_records(&self) -> bool {
+        !matches!(self, SpecMode::Guard(_) | SpecMode::Ft(_))
     }
 }
 
@@ -108,80 +175,20 @@ impl CampaignSpec {
             c.fastpath,
             self.mode.name(),
         );
-        match &self.mode {
-            SpecMode::Campaign => {}
-            SpecMode::Guard(g) => {
-                let _ = write!(
-                    out,
-                    ",\"guard\":{{\"checkpoint_rounds\":{},\"max_restarts\":{},\"window_rounds\":{},\"stall_windows\":{},\"max_retransmits\":{}}}",
-                    g.checkpoint_rounds,
-                    g.max_restarts,
-                    g.window_rounds,
-                    g.stall_windows,
-                    g.max_retransmits,
-                );
-            }
-            SpecMode::Ft(f) => {
-                let _ = write!(
-                    out,
-                    ",\"ft\":{{\"buddy_rounds\":{},\"max_respawns\":{},\"replicas\":{},\"probe_rounds\":{},\"suspect_rounds\":{}}}",
-                    f.buddy_rounds,
-                    f.max_respawns,
-                    f.replicas,
-                    f.detector.probe_rounds,
-                    f.detector.suspect_rounds,
-                );
-            }
-            SpecMode::Chaos(p) => {
-                let (lo, hi) = p.partition_rounds;
-                let _ = write!(
-                    out,
-                    ",\"chaos\":{{\"partition_lo\":{},\"partition_hi\":{},\"reorder_max_delay\":{},\"burst_max\":{},\"node_ranks\":{},\"checkpoint_rounds\":{},\"max_restarts\":{},\"window_rounds\":{},\"stall_windows\":{},\"max_retransmits\":{},\"buddy_rounds\":{},\"max_respawns\":{},\"replicas\":{},\"probe_rounds\":{},\"suspect_rounds\":{}}}",
-                    lo,
-                    hi,
-                    p.reorder_max_delay,
-                    p.burst_max,
-                    p.node_ranks,
-                    p.guard.checkpoint_rounds,
-                    p.guard.max_restarts,
-                    p.guard.window_rounds,
-                    p.guard.stall_windows,
-                    p.guard.max_retransmits,
-                    p.ft.buddy_rounds,
-                    p.ft.max_respawns,
-                    p.ft.replicas,
-                    p.ft.detector.probe_rounds,
-                    p.ft.detector.suspect_rounds,
-                );
-            }
-            SpecMode::Perturb(p) => {
-                let _ = write!(
-                    out,
-                    ",\"perturb\":{{\"probe_rounds\":{},\"suspect_rounds\":{},\"tax_rounds_lo\":{},\"tax_rounds_hi\":{},\"tax_permille_lo\":{},\"tax_permille_hi\":{},\"hog_share_lo\":{},\"hog_share_hi\":{},\"hog_node_ranks\":{},\"stall_per_access_lo\":{},\"stall_per_access_hi\":{},\"stall_window_per16_lo\":{},\"stall_window_per16_hi\":{},\"degraded_permille\":{}}}",
-                    p.probe_rounds,
-                    p.suspect_rounds,
-                    p.tax_rounds.0,
-                    p.tax_rounds.1,
-                    p.tax_permille.0,
-                    p.tax_permille.1,
-                    p.hog_share_permille.0,
-                    p.hog_share_permille.1,
-                    p.hog_node_ranks,
-                    p.stall_per_access.0,
-                    p.stall_per_access.1,
-                    p.stall_window_per16.0,
-                    p.stall_window_per16.1,
-                    p.degraded_permille,
-                );
-            }
+        if let Some(knobs) = self.mode.knobs() {
+            let _ = write!(out, ",\"{}\":{{", self.mode.name());
+            knobs.write_json(&mut out);
+            out.push('}');
         }
         out.push('}');
         out
     }
 
     /// Parse a spec from JSON. Every field except `app` is optional and
-    /// falls back to its default; unknown keys are rejected (the same
-    /// typo protection the CLI's flag validation gives).
+    /// falls back to its default; unknown keys and integers too wide for
+    /// their field are rejected (the same typo protection the CLI's flag
+    /// validation gives — and a truncated value would alias another
+    /// campaign's canonical bytes).
     pub fn from_json(text: &str) -> Result<CampaignSpec, String> {
         let v = parse(text)?;
         let Json::Obj(map) = &v else {
@@ -231,222 +238,251 @@ impl CampaignSpec {
                 .collect::<Result<_, _>>()?;
         }
         let c = &mut spec.campaign;
-        if let Some(n) = v.get("injections") {
-            c.injections = n.as_u64().ok_or("`injections` must be an integer")? as u32;
+        if let Some(n) = int(&v, "injections", u32::BITS)? {
+            c.injections = n as u32;
         }
-        if let Some(n) = v.get("seed") {
-            c.seed = n.as_u64().ok_or("`seed` must be an integer")?;
+        if let Some(n) = int(&v, "seed", u64::BITS)? {
+            c.seed = n;
         }
         if let Some(n) = v.get("budget_factor") {
             c.budget_factor = n.as_f64().ok_or("`budget_factor` must be a number")?;
         }
-        if let Some(n) = v.get("threads") {
-            c.threads = n.as_u64().ok_or("`threads` must be an integer")? as usize;
+        if let Some(n) = int(&v, "threads", usize::BITS)? {
+            c.threads = n as usize;
         }
-        if let Some(n) = v.get("epoch_rounds") {
-            c.epoch_rounds = n.as_u64().ok_or("`epoch_rounds` must be an integer")? as u32;
+        if let Some(n) = int(&v, "epoch_rounds", u32::BITS)? {
+            c.epoch_rounds = n as u32;
         }
-        if let Some(n) = v.get("ring") {
-            c.obs_capacity = n.as_u64().ok_or("`ring` must be an integer")? as u32;
+        if let Some(n) = int(&v, "ring", u32::BITS)? {
+            c.obs_capacity = n as u32;
         }
         if let Some(b) = v.get("fastpath") {
             c.fastpath = b.as_bool().ok_or("`fastpath` must be a bool")?;
         }
-        let mode = v.get("mode").map(|m| m.as_str().unwrap_or("?"));
-        spec.mode = match mode {
-            None | Some("campaign") => SpecMode::Campaign,
-            Some("guard") => {
-                let mut g = GuardPolicy::default();
-                if let Some(p) = v.get("guard") {
-                    g.checkpoint_rounds = opt_u64(p, "checkpoint_rounds")?
-                        .unwrap_or(g.checkpoint_rounds as u64)
-                        as u32;
-                    g.max_restarts =
-                        opt_u64(p, "max_restarts")?.unwrap_or(g.max_restarts as u64) as u32;
-                    g.window_rounds =
-                        opt_u64(p, "window_rounds")?.unwrap_or(g.window_rounds as u64) as u32;
-                    g.stall_windows =
-                        opt_u64(p, "stall_windows")?.unwrap_or(g.stall_windows as u64) as u32;
-                    g.max_retransmits =
-                        opt_u64(p, "max_retransmits")?.unwrap_or(g.max_retransmits as u64) as u8;
-                }
-                SpecMode::Guard(g)
-            }
-            Some("ft") => {
-                let mut f = FtPolicy::default();
-                if let Some(p) = v.get("ft") {
-                    f.buddy_rounds = opt_u64(p, "buddy_rounds")?.unwrap_or(f.buddy_rounds);
-                    f.max_respawns =
-                        opt_u64(p, "max_respawns")?.unwrap_or(f.max_respawns as u64) as u32;
-                    f.replicas = opt_u64(p, "replicas")?.unwrap_or(f.replicas as u64) as u16;
-                    f.detector.probe_rounds =
-                        opt_u64(p, "probe_rounds")?.unwrap_or(f.detector.probe_rounds);
-                    f.detector.suspect_rounds =
-                        opt_u64(p, "suspect_rounds")?.unwrap_or(f.detector.suspect_rounds);
-                }
-                SpecMode::Ft(f)
-            }
-            Some("chaos") => {
-                let mut p = ChaosPolicy::default();
-                if let Some(obj) = v.get("chaos") {
-                    const CHAOS_KEYS: [&str; 15] = [
-                        "partition_lo",
-                        "partition_hi",
-                        "reorder_max_delay",
-                        "burst_max",
-                        "node_ranks",
-                        "checkpoint_rounds",
-                        "max_restarts",
-                        "window_rounds",
-                        "stall_windows",
-                        "max_retransmits",
-                        "buddy_rounds",
-                        "max_respawns",
-                        "replicas",
-                        "probe_rounds",
-                        "suspect_rounds",
-                    ];
-                    let Json::Obj(cm) = obj else {
-                        return Err("`chaos` must be an object".into());
-                    };
-                    for key in cm.keys() {
-                        if !CHAOS_KEYS.contains(&key.as_str()) {
-                            return Err(crate::suggest::unknown("chaos key", key, &CHAOS_KEYS));
-                        }
-                    }
-                    p.partition_rounds.0 =
-                        opt_u64(obj, "partition_lo")?.unwrap_or(p.partition_rounds.0);
-                    p.partition_rounds.1 =
-                        opt_u64(obj, "partition_hi")?.unwrap_or(p.partition_rounds.1);
-                    p.reorder_max_delay =
-                        opt_u64(obj, "reorder_max_delay")?.unwrap_or(p.reorder_max_delay);
-                    p.burst_max = opt_u64(obj, "burst_max")?.unwrap_or(p.burst_max as u64) as u16;
-                    p.node_ranks =
-                        opt_u64(obj, "node_ranks")?.unwrap_or(p.node_ranks as u64) as u16;
-                    let g = &mut p.guard;
-                    g.checkpoint_rounds = opt_u64(obj, "checkpoint_rounds")?
-                        .unwrap_or(g.checkpoint_rounds as u64)
-                        as u32;
-                    g.max_restarts =
-                        opt_u64(obj, "max_restarts")?.unwrap_or(g.max_restarts as u64) as u32;
-                    g.window_rounds =
-                        opt_u64(obj, "window_rounds")?.unwrap_or(g.window_rounds as u64) as u32;
-                    g.stall_windows =
-                        opt_u64(obj, "stall_windows")?.unwrap_or(g.stall_windows as u64) as u32;
-                    g.max_retransmits =
-                        opt_u64(obj, "max_retransmits")?.unwrap_or(g.max_retransmits as u64) as u8;
-                    let f = &mut p.ft;
-                    f.buddy_rounds = opt_u64(obj, "buddy_rounds")?.unwrap_or(f.buddy_rounds);
-                    f.max_respawns =
-                        opt_u64(obj, "max_respawns")?.unwrap_or(f.max_respawns as u64) as u32;
-                    f.replicas = opt_u64(obj, "replicas")?.unwrap_or(f.replicas as u64) as u16;
-                    f.detector.probe_rounds =
-                        opt_u64(obj, "probe_rounds")?.unwrap_or(f.detector.probe_rounds);
-                    f.detector.suspect_rounds =
-                        opt_u64(obj, "suspect_rounds")?.unwrap_or(f.detector.suspect_rounds);
-                }
-                SpecMode::Chaos(p)
-            }
-            Some("perturb") => {
-                let mut p = PerturbPolicy::default();
-                if let Some(obj) = v.get("perturb") {
-                    const PERTURB_KEYS: [&str; 14] = [
-                        "probe_rounds",
-                        "suspect_rounds",
-                        "tax_rounds_lo",
-                        "tax_rounds_hi",
-                        "tax_permille_lo",
-                        "tax_permille_hi",
-                        "hog_share_lo",
-                        "hog_share_hi",
-                        "hog_node_ranks",
-                        "stall_per_access_lo",
-                        "stall_per_access_hi",
-                        "stall_window_per16_lo",
-                        "stall_window_per16_hi",
-                        "degraded_permille",
-                    ];
-                    let Json::Obj(pm) = obj else {
-                        return Err("`perturb` must be an object".into());
-                    };
-                    for key in pm.keys() {
-                        if !PERTURB_KEYS.contains(&key.as_str()) {
-                            return Err(crate::suggest::unknown("perturb key", key, &PERTURB_KEYS));
-                        }
-                    }
-                    p.probe_rounds = opt_u64(obj, "probe_rounds")?.unwrap_or(p.probe_rounds);
-                    p.suspect_rounds = opt_u64(obj, "suspect_rounds")?.unwrap_or(p.suspect_rounds);
-                    p.tax_rounds.0 = opt_u64(obj, "tax_rounds_lo")?.unwrap_or(p.tax_rounds.0);
-                    p.tax_rounds.1 = opt_u64(obj, "tax_rounds_hi")?.unwrap_or(p.tax_rounds.1);
-                    p.tax_permille.0 =
-                        opt_u64(obj, "tax_permille_lo")?.unwrap_or(p.tax_permille.0 as u64) as u32;
-                    p.tax_permille.1 =
-                        opt_u64(obj, "tax_permille_hi")?.unwrap_or(p.tax_permille.1 as u64) as u32;
-                    p.hog_share_permille.0 = opt_u64(obj, "hog_share_lo")?
-                        .unwrap_or(p.hog_share_permille.0 as u64)
-                        as u32;
-                    p.hog_share_permille.1 = opt_u64(obj, "hog_share_hi")?
-                        .unwrap_or(p.hog_share_permille.1 as u64)
-                        as u32;
-                    p.hog_node_ranks =
-                        opt_u64(obj, "hog_node_ranks")?.unwrap_or(p.hog_node_ranks as u64) as u16;
-                    p.stall_per_access.0 =
-                        opt_u64(obj, "stall_per_access_lo")?.unwrap_or(p.stall_per_access.0);
-                    p.stall_per_access.1 =
-                        opt_u64(obj, "stall_per_access_hi")?.unwrap_or(p.stall_per_access.1);
-                    p.stall_window_per16.0 =
-                        opt_u64(obj, "stall_window_per16_lo")?.unwrap_or(p.stall_window_per16.0);
-                    p.stall_window_per16.1 =
-                        opt_u64(obj, "stall_window_per16_hi")?.unwrap_or(p.stall_window_per16.1);
-                    p.degraded_permille =
-                        opt_u64(obj, "degraded_permille")?.unwrap_or(p.degraded_permille);
-                }
-                SpecMode::Perturb(p)
-            }
-            Some(other) => {
-                return Err(format!(
-                    "unknown mode `{other}` (expected campaign, guard, ft, chaos or perturb)"
-                ))
-            }
-        };
+        let name = v.get("mode").map_or(Some("campaign"), Json::as_str);
+        spec.mode = name.and_then(SpecMode::named).ok_or_else(|| {
+            format!(
+                "unknown mode `{}` (expected campaign, guard, ft, chaos or perturb)",
+                name.unwrap_or("?")
+            )
+        })?;
+        let what = spec.mode.name();
+        if let (Some(knobs), Some(obj)) = (spec.mode.knobs_mut(), v.get(what)) {
+            knobs.read_json(what, obj)?;
+        }
         Ok(spec)
     }
 
     /// The per-slot target classes of this spec's record stream — the
     /// `classes` argument [`crate::engine::CompletedSlots::from_jsonl`]
     /// needs to adopt records on resume. Plain campaigns stream one slot
-    /// per requested region; chaos campaigns stream the fixed 9 × 6
-    /// model × defense grid; perturb campaigns the fixed 5 × 3
-    /// model × detection grid; guard and ft campaigns do not stream
+    /// per requested region; matrix presets their fixed
+    /// `rows × columns` grid; guard and ft campaigns do not stream
     /// adoptable records, so their slot space is empty.
     pub fn record_classes(&self) -> Vec<TargetClass> {
-        match &self.mode {
-            SpecMode::Campaign => self.classes.clone(),
-            SpecMode::Chaos(_) => crate::chaos::chaos_classes(),
-            SpecMode::Perturb(_) => crate::perturb::perturb_classes(),
-            SpecMode::Guard(_) | SpecMode::Ft(_) => Vec::new(),
+        match (&self.mode, self.mode.preset()) {
+            (_, Some(p)) => p.grid().classes(),
+            (SpecMode::Campaign, None) => self.classes.clone(),
+            _ => Vec::new(),
+        }
+    }
+
+    /// Trials the spec runs, known before the engine starts.
+    pub fn planned_trials(&self) -> u64 {
+        let n = self.campaign.injections as u64;
+        match self.mode {
+            // `injections` rank kills plus `injections` replica trials.
+            SpecMode::Ft(_) => 2 * n,
+            SpecMode::Guard(_) => self.classes.len() as u64 * n,
+            _ => self.record_classes().len() as u64 * n,
         }
     }
 
     /// Trials per record-stream slot — the companion bound to
     /// [`CampaignSpec::record_classes`] for record adoption.
     pub fn record_injections(&self) -> u32 {
-        match &self.mode {
-            SpecMode::Campaign | SpecMode::Chaos(_) | SpecMode::Perturb(_) => {
-                self.campaign.injections
-            }
-            SpecMode::Guard(_) | SpecMode::Ft(_) => 0,
+        if self.mode.streams_records() {
+            self.campaign.injections
+        } else {
+            0
         }
     }
 }
 
-fn opt_u64(v: &Json, key: &str) -> Result<Option<u64>, String> {
-    match v.get(key) {
-        None => Ok(None),
-        Some(j) => j
-            .as_u64()
-            .map(Some)
-            .ok_or_else(|| format!("`{key}` must be an integer")),
+/// Largest value an unsigned integer of `bits` bits holds.
+fn max_of(bits: u32) -> u64 {
+    u64::MAX >> (64 - bits)
+}
+
+/// The unsigned integer at `key` of `v`, if present. A value wider
+/// than `bits` is an error naming the key, never a truncation.
+fn int(v: &Json, key: &str, bits: u32) -> Result<Option<u64>, String> {
+    let Some(j) = v.get(key) else {
+        return Ok(None);
+    };
+    let max = max_of(bits);
+    match j.as_u64() {
+        Some(n) if n <= max => Ok(Some(n)),
+        _ => Err(format!("`{key}` must be an integer no larger than {max}")),
+    }
+}
+
+/// One integer policy knob: the single place its spec-JSON key, its CLI
+/// flag and its integer width are spelled out. The spec codec and the
+/// CLI both read these tables, so a knob cannot reach one and miss the
+/// other.
+pub struct Knob<P> {
+    /// Key in the mode's policy object of the spec JSON.
+    pub key: &'static str,
+    /// CLI flag without its `--` (`None`: settable through the spec
+    /// only).
+    pub flag: Option<&'static str>,
+    /// Width of the field in bits; wider values are rejected.
+    pub bits: u32,
+    get: fn(&P) -> u64,
+    set: fn(&mut P, u64),
+}
+
+/// A policy whose integer knobs are listed in a field table.
+pub trait Knobs: Sized + 'static {
+    /// The table, in canonical JSON order.
+    const KNOBS: &'static [Knob<Self>];
+}
+
+/// A [`Knob`] on the field path after the type (`guard.max_restarts`,
+/// `partition_rounds.0`).
+macro_rules! knob {
+    ($key:literal, $flag:expr, $ty:ty, $($field:tt)+) => {
+        Knob {
+            key: $key,
+            flag: $flag,
+            bits: <$ty>::BITS,
+            get: |p| p.$($field)+ as u64,
+            set: |p, v| p.$($field)+ = v as $ty,
+        }
+    };
+}
+
+// One knob per line: key, CLI flag, width, field path.
+#[rustfmt::skip]
+impl Knobs for GuardPolicy {
+    const KNOBS: &'static [Knob<Self>] = &[
+        knob!("checkpoint_rounds", Some("checkpoint-rounds"), u32, checkpoint_rounds),
+        knob!("max_restarts",      Some("restarts"),          u32, max_restarts),
+        knob!("window_rounds",     None,                      u32, window_rounds),
+        knob!("stall_windows",     None,                      u32, stall_windows),
+        knob!("max_retransmits",   Some("retransmits"),       u8,  max_retransmits),
+    ];
+}
+
+#[rustfmt::skip]
+impl Knobs for FtPolicy {
+    const KNOBS: &'static [Knob<Self>] = &[
+        knob!("buddy_rounds",   Some("buddy-rounds"),   u64, buddy_rounds),
+        knob!("max_respawns",   Some("respawns"),       u32, max_respawns),
+        knob!("replicas",       Some("replicas"),       u16, replicas),
+        knob!("probe_rounds",   Some("probe-rounds"),   u64, detector.probe_rounds),
+        knob!("suspect_rounds", Some("suspect-rounds"), u64, detector.suspect_rounds),
+    ];
+}
+
+/// The chaos knobs, then the guard knobs of the crc/watchdog columns and
+/// the ft knobs of the replica/shrink/app columns, flat.
+#[rustfmt::skip]
+impl Knobs for ChaosPolicy {
+    const KNOBS: &'static [Knob<Self>] = &[
+        knob!("partition_lo",      Some("partition-lo"),      u64, partition_rounds.0),
+        knob!("partition_hi",      Some("partition-hi"),      u64, partition_rounds.1),
+        knob!("reorder_max_delay", Some("reorder-delay"),     u64, reorder_max_delay),
+        knob!("burst_max",         Some("burst-max"),         u16, burst_max),
+        knob!("node_ranks",        Some("node-ranks"),        u16, node_ranks),
+        knob!("checkpoint_rounds", Some("checkpoint-rounds"), u32, guard.checkpoint_rounds),
+        knob!("max_restarts",      Some("restarts"),          u32, guard.max_restarts),
+        knob!("window_rounds",     None,                      u32, guard.window_rounds),
+        knob!("stall_windows",     None,                      u32, guard.stall_windows),
+        knob!("max_retransmits",   Some("retransmits"),       u8,  guard.max_retransmits),
+        knob!("buddy_rounds",      Some("buddy-rounds"),      u64, ft.buddy_rounds),
+        knob!("max_respawns",      Some("respawns"),          u32, ft.max_respawns),
+        knob!("replicas",          Some("replicas"),          u16, ft.replicas),
+        knob!("probe_rounds",      Some("probe-rounds"),      u64, ft.detector.probe_rounds),
+        knob!("suspect_rounds",    Some("suspect-rounds"),    u64, ft.detector.suspect_rounds),
+    ];
+}
+
+#[rustfmt::skip]
+impl Knobs for PerturbPolicy {
+    const KNOBS: &'static [Knob<Self>] = &[
+        knob!("probe_rounds",          Some("probe-rounds"),      u64, probe_rounds),
+        knob!("suspect_rounds",        Some("suspect-rounds"),    u64, suspect_rounds),
+        knob!("tax_rounds_lo",         Some("tax-rounds-lo"),     u64, tax_rounds.0),
+        knob!("tax_rounds_hi",         Some("tax-rounds-hi"),     u64, tax_rounds.1),
+        knob!("tax_permille_lo",       Some("tax-lo"),            u32, tax_permille.0),
+        knob!("tax_permille_hi",       Some("tax-hi"),            u32, tax_permille.1),
+        knob!("hog_share_lo",          Some("hog-share-lo"),      u32, hog_share_permille.0),
+        knob!("hog_share_hi",          Some("hog-share-hi"),      u32, hog_share_permille.1),
+        knob!("hog_node_ranks",        Some("hog-node-ranks"),    u16, hog_node_ranks),
+        knob!("stall_per_access_lo",   Some("stall-access-lo"),   u64, stall_per_access.0),
+        knob!("stall_per_access_hi",   Some("stall-access-hi"),   u64, stall_per_access.1),
+        knob!("stall_window_per16_lo", Some("stall-window-lo"),   u64, stall_window_per16.0),
+        knob!("stall_window_per16_hi", Some("stall-window-hi"),   u64, stall_window_per16.1),
+        knob!("degraded_permille",     Some("degraded-permille"), u64, degraded_permille),
+    ];
+}
+
+/// A policy's knob table with its type erased, so one code path serves
+/// every mode.
+trait KnobSet {
+    /// Write the knobs as the members of a JSON object.
+    fn write_json(&self, out: &mut String);
+    /// Set the knobs present in the JSON object `obj`, the value of the
+    /// spec key `what`.
+    fn read_json(&mut self, what: &str, obj: &Json) -> Result<(), String>;
+    /// Set every knob whose CLI flag `value` returns a value for.
+    fn read_flags<'a>(&mut self, value: &dyn Fn(&str) -> Option<&'a str>) -> Result<(), String>;
+    /// The CLI flags.
+    fn flags(&self) -> Vec<&'static str>;
+}
+
+impl<P: Knobs> KnobSet for P {
+    fn write_json(&self, out: &mut String) {
+        for (i, k) in P::KNOBS.iter().enumerate() {
+            let sep = if i == 0 { "" } else { "," };
+            let _ = write!(out, "{sep}\"{}\":{}", k.key, (k.get)(self));
+        }
+    }
+
+    fn read_json(&mut self, what: &str, obj: &Json) -> Result<(), String> {
+        let Json::Obj(map) = obj else {
+            return Err(format!("`{what}` must be an object"));
+        };
+        let keys: Vec<&str> = P::KNOBS.iter().map(|k| k.key).collect();
+        if let Some(bad) = map.keys().find(|key| !keys.contains(&key.as_str())) {
+            return Err(crate::suggest::unknown(&format!("{what} key"), bad, &keys));
+        }
+        for k in P::KNOBS {
+            if let Some(n) = int(obj, k.key, k.bits)? {
+                (k.set)(self, n);
+            }
+        }
+        Ok(())
+    }
+
+    fn read_flags<'a>(&mut self, value: &dyn Fn(&str) -> Option<&'a str>) -> Result<(), String> {
+        for k in P::KNOBS {
+            let Some((flag, v)) = k.flag.and_then(|f| Some((f, value(f)?))) else {
+                continue;
+            };
+            let max = max_of(k.bits);
+            match v.parse() {
+                Ok(n) if n <= max => (k.set)(self, n),
+                _ => return Err(format!("--{flag} expects a number up to {max}, got `{v}`")),
+            }
+        }
+        Ok(())
+    }
+
+    fn flags(&self) -> Vec<&'static str> {
+        P::KNOBS.iter().filter_map(|k| k.flag).collect()
     }
 }
 
@@ -454,13 +490,55 @@ fn opt_u64(v: &Json, key: &str) -> Result<Option<u64>, String> {
 mod tests {
     use super::*;
 
+    /// The canonical bytes of a default spec in `mode` — pinned: the
+    /// service keys every campaign's state on them, so a renamed,
+    /// reordered or reformatted key is a breaking change even though the
+    /// new form would still round-trip.
+    fn pinned_default(mode: SpecMode, tail: &str) {
+        let spec = CampaignSpec {
+            mode,
+            ..CampaignSpec::new(AppKind::Wavetoy)
+        };
+        let want = format!(
+            "{{\"app\":\"wavetoy\",\"tiny\":false,\"regions\":[\"regular-reg\",\"fp-reg\",\
+             \"bss\",\"data\",\"stack\",\"text\",\"heap\",\"message\"],\"injections\":500,\
+             \"seed\":64023,\"budget_factor\":3,\"threads\":0,\"epoch_rounds\":16,\"ring\":0,\
+             \"fastpath\":true,\"mode\":{tail}}}"
+        );
+        assert_eq!(spec.to_json(), want);
+        assert_eq!(CampaignSpec::from_json(&want).unwrap(), spec);
+    }
+
     #[test]
     fn default_spec_round_trips() {
-        let spec = CampaignSpec::new(AppKind::Wavetoy);
-        let json = spec.to_json();
-        let back = CampaignSpec::from_json(&json).unwrap();
-        assert_eq!(back, spec);
-        assert_eq!(back.to_json(), json, "canonical form is a fixed point");
+        pinned_default(SpecMode::Campaign, "\"campaign\"");
+        pinned_default(
+            SpecMode::Guard(GuardPolicy::default()),
+            "\"guard\",\"guard\":{\"checkpoint_rounds\":64,\"max_restarts\":3,\
+             \"window_rounds\":8,\"stall_windows\":24,\"max_retransmits\":3}",
+        );
+        pinned_default(
+            SpecMode::Ft(FtPolicy::default()),
+            "\"ft\",\"ft\":{\"buddy_rounds\":64,\"max_respawns\":3,\"replicas\":3,\
+             \"probe_rounds\":8,\"suspect_rounds\":32}",
+        );
+        pinned_default(
+            SpecMode::Chaos(ChaosPolicy::default()),
+            "\"chaos\",\"chaos\":{\"partition_lo\":64,\"partition_hi\":512,\
+             \"reorder_max_delay\":64,\"burst_max\":3,\"node_ranks\":2,\
+             \"checkpoint_rounds\":64,\"max_restarts\":3,\"window_rounds\":8,\
+             \"stall_windows\":24,\"max_retransmits\":3,\"buddy_rounds\":64,\
+             \"max_respawns\":3,\"replicas\":3,\"probe_rounds\":8,\"suspect_rounds\":32}",
+        );
+        pinned_default(
+            SpecMode::Perturb(PerturbPolicy::default()),
+            "\"perturb\",\"perturb\":{\"probe_rounds\":8,\"suspect_rounds\":32,\
+             \"tax_rounds_lo\":256,\"tax_rounds_hi\":1024,\"tax_permille_lo\":900,\
+             \"tax_permille_hi\":995,\"hog_share_lo\":300,\"hog_share_hi\":900,\
+             \"hog_node_ranks\":2,\"stall_per_access_lo\":1,\"stall_per_access_hi\":6,\
+             \"stall_window_per16_lo\":2,\"stall_window_per16_hi\":8,\
+             \"degraded_permille\":1050}",
+        );
     }
 
     #[test]
@@ -521,43 +599,52 @@ mod tests {
     }
 
     #[test]
-    fn chaos_mode_round_trips() {
-        let mut spec = CampaignSpec::new(AppKind::Wavetoy);
-        spec.tiny = true;
-        spec.campaign.injections = 25;
-        spec.mode = SpecMode::Chaos(ChaosPolicy {
-            partition_rounds: (32, 96),
-            burst_max: 2,
-            ..ChaosPolicy::default()
-        });
-        let back = CampaignSpec::from_json(&spec.to_json()).unwrap();
-        assert_eq!(back, spec);
-        assert_eq!(back.to_json(), spec.to_json(), "canonical fixed point");
-    }
-
-    #[test]
     fn chaos_spec_golden_json_is_stable() {
-        // The canonical one-line wire form — the service keys resumable
-        // state on these exact bytes, so the field order is a contract.
-        let mut spec = CampaignSpec::new(AppKind::Wavetoy);
+        // Every knob at a distinct non-default value, so a swapped pair
+        // of keys cannot hide behind equal defaults.
+        let mut p = ChaosPolicy {
+            partition_rounds: (11, 12),
+            reorder_max_delay: 13,
+            burst_max: 14,
+            node_ranks: 15,
+            ..ChaosPolicy::default()
+        };
+        p.guard = GuardPolicy {
+            checkpoint_rounds: 16,
+            max_restarts: 17,
+            window_rounds: 18,
+            stall_windows: 19,
+            max_retransmits: 20,
+            ..p.guard
+        };
+        p.ft.buddy_rounds = 21;
+        p.ft.max_respawns = 22;
+        p.ft.replicas = 23;
+        p.ft.detector.probe_rounds = 24;
+        p.ft.detector.suspect_rounds = 25;
+        let mut spec = CampaignSpec::new(AppKind::Jacobi3d);
         spec.tiny = true;
-        spec.classes = vec![TargetClass::Message];
-        spec.campaign.injections = 10;
-        spec.campaign.seed = 81;
-        spec.mode = SpecMode::Chaos(ChaosPolicy::default());
-        assert_eq!(
-            spec.to_json(),
-            "{\"app\":\"wavetoy\",\"tiny\":true,\"regions\":[\"message\"],\
-             \"injections\":10,\"seed\":81,\"budget_factor\":3,\"threads\":0,\
-             \"epoch_rounds\":16,\"ring\":0,\"fastpath\":true,\"mode\":\"chaos\",\
-             \"chaos\":{\"partition_lo\":64,\"partition_hi\":512,\
-             \"reorder_max_delay\":64,\"burst_max\":3,\"node_ranks\":2,\
-             \"checkpoint_rounds\":64,\"max_restarts\":3,\"window_rounds\":8,\
-             \"stall_windows\":24,\"max_retransmits\":3,\"buddy_rounds\":64,\
-             \"max_respawns\":3,\"replicas\":3,\"probe_rounds\":8,\
-             \"suspect_rounds\":32}}"
-        );
-        assert_eq!(CampaignSpec::from_json(&spec.to_json()).unwrap(), spec);
+        spec.classes = vec![TargetClass::Stack];
+        spec.campaign = CampaignConfig {
+            injections: 7,
+            seed: u64::MAX,
+            threads: 3,
+            epoch_rounds: 0,
+            obs_capacity: 64,
+            fastpath: false,
+            ..spec.campaign
+        };
+        spec.mode = SpecMode::Chaos(p);
+        let json = "{\"app\":\"jacobi3d\",\"tiny\":true,\"regions\":[\"stack\"],\
+            \"injections\":7,\"seed\":18446744073709551615,\"budget_factor\":3,\"threads\":3,\
+            \"epoch_rounds\":0,\"ring\":64,\"fastpath\":false,\"mode\":\"chaos\",\
+            \"chaos\":{\"partition_lo\":11,\"partition_hi\":12,\"reorder_max_delay\":13,\
+            \"burst_max\":14,\"node_ranks\":15,\"checkpoint_rounds\":16,\"max_restarts\":17,\
+            \"window_rounds\":18,\"stall_windows\":19,\"max_retransmits\":20,\
+            \"buddy_rounds\":21,\"max_respawns\":22,\"replicas\":23,\"probe_rounds\":24,\
+            \"suspect_rounds\":25}}";
+        assert_eq!(spec.to_json(), json);
+        assert_eq!(CampaignSpec::from_json(json).unwrap(), spec);
     }
 
     #[test]
@@ -594,43 +681,34 @@ mod tests {
     }
 
     #[test]
-    fn perturb_mode_round_trips() {
-        let mut spec = CampaignSpec::new(AppKind::Wavetoy);
-        spec.tiny = true;
-        spec.campaign.injections = 12;
-        spec.mode = SpecMode::Perturb(PerturbPolicy {
-            tax_permille: (950, 990),
-            hog_node_ranks: 4,
-            ..PerturbPolicy::default()
-        });
-        let back = CampaignSpec::from_json(&spec.to_json()).unwrap();
-        assert_eq!(back, spec);
-        assert_eq!(back.to_json(), spec.to_json(), "canonical fixed point");
-    }
-
-    #[test]
     fn perturb_spec_golden_json_is_stable() {
-        // Same bytes-are-the-key contract as the chaos golden test.
-        let mut spec = CampaignSpec::new(AppKind::Wavetoy);
-        spec.tiny = true;
-        spec.classes = vec![TargetClass::Message];
-        spec.campaign.injections = 10;
-        spec.campaign.seed = 81;
-        spec.mode = SpecMode::Perturb(PerturbPolicy::default());
-        assert_eq!(
-            spec.to_json(),
-            "{\"app\":\"wavetoy\",\"tiny\":true,\"regions\":[\"message\"],\
-             \"injections\":10,\"seed\":81,\"budget_factor\":3,\"threads\":0,\
-             \"epoch_rounds\":16,\"ring\":0,\"fastpath\":true,\"mode\":\"perturb\",\
-             \"perturb\":{\"probe_rounds\":8,\"suspect_rounds\":32,\
-             \"tax_rounds_lo\":256,\"tax_rounds_hi\":1024,\
-             \"tax_permille_lo\":900,\"tax_permille_hi\":995,\
-             \"hog_share_lo\":300,\"hog_share_hi\":900,\"hog_node_ranks\":2,\
-             \"stall_per_access_lo\":1,\"stall_per_access_hi\":6,\
-             \"stall_window_per16_lo\":2,\"stall_window_per16_hi\":8,\
-             \"degraded_permille\":1050}}"
-        );
-        assert_eq!(CampaignSpec::from_json(&spec.to_json()).unwrap(), spec);
+        // Same bytes-are-the-key pin as the chaos golden test.
+        let mut spec = CampaignSpec::new(AppKind::Climsim);
+        spec.classes = vec![TargetClass::Message, TargetClass::Heap];
+        spec.campaign.injections = 9;
+        spec.campaign.seed = 5;
+        spec.campaign.budget_factor = 2.5;
+        spec.mode = SpecMode::Perturb(PerturbPolicy {
+            probe_rounds: 31,
+            suspect_rounds: 32,
+            tax_rounds: (33, 34),
+            tax_permille: (35, 36),
+            hog_share_permille: (37, 38),
+            hog_node_ranks: 39,
+            stall_per_access: (40, 41),
+            stall_window_per16: (42, 43),
+            degraded_permille: 44,
+        });
+        let json = "{\"app\":\"climsim\",\"tiny\":false,\"regions\":[\"message\",\"heap\"],\
+            \"injections\":9,\"seed\":5,\"budget_factor\":2.5,\"threads\":0,\"epoch_rounds\":16,\
+            \"ring\":0,\"fastpath\":true,\"mode\":\"perturb\",\"perturb\":{\"probe_rounds\":31,\
+            \"suspect_rounds\":32,\"tax_rounds_lo\":33,\"tax_rounds_hi\":34,\
+            \"tax_permille_lo\":35,\"tax_permille_hi\":36,\"hog_share_lo\":37,\
+            \"hog_share_hi\":38,\"hog_node_ranks\":39,\"stall_per_access_lo\":40,\
+            \"stall_per_access_hi\":41,\"stall_window_per16_lo\":42,\
+            \"stall_window_per16_hi\":43,\"degraded_permille\":44}}";
+        assert_eq!(spec.to_json(), json);
+        assert_eq!(CampaignSpec::from_json(json).unwrap(), spec);
     }
 
     #[test]
@@ -688,6 +766,43 @@ mod tests {
     }
 
     #[test]
+    fn integers_one_past_their_width_are_rejected_by_key() {
+        // A wrapped value would serialize to a smaller number's canonical
+        // bytes — and so alias that campaign's id on the service.
+        for (json, key) in [
+            (
+                r#""mode":"guard","guard":{"max_retransmits":256}"#,
+                "max_retransmits",
+            ),
+            (r#""mode":"chaos","chaos":{"burst_max":65536}"#, "burst_max"),
+            (r#""mode":"ft","ft":{"replicas":65536}"#, "replicas"),
+            (
+                r#""mode":"perturb","perturb":{"hog_node_ranks":65536}"#,
+                "hog_node_ranks",
+            ),
+            (r#""injections":4294967296"#, "injections"),
+            (r#""epoch_rounds":4294967296"#, "epoch_rounds"),
+            (r#""ring":4294967296"#, "ring"),
+            (
+                r#""mode":"perturb","perturb":{"tax_permille_lo":4294967296}"#,
+                "tax_permille_lo",
+            ),
+            (r#""seed":18446744073709551616"#, "seed"),
+        ] {
+            let err =
+                CampaignSpec::from_json(&format!(r#"{{"app":"wavetoy",{json}}}"#)).expect_err(json);
+            assert!(err.contains(&format!("`{key}`")), "{json}: {err}");
+        }
+        // The maximum itself fits.
+        let spec = CampaignSpec::from_json(
+            r#"{"app":"wavetoy","injections":4294967295,"mode":"guard","guard":{"max_retransmits":255}}"#,
+        )
+        .unwrap();
+        assert_eq!(spec.campaign.injections, u32::MAX);
+        assert_eq!(spec.mode.name(), "guard");
+    }
+
+    #[test]
     fn bad_specs_are_rejected() {
         assert!(CampaignSpec::from_json("[]").is_err());
         assert!(CampaignSpec::from_json("{}").is_err(), "app is required");
@@ -696,5 +811,9 @@ mod tests {
         assert!(CampaignSpec::from_json(r#"{"app":"wavetoy","regions":["rom"]}"#).is_err());
         let err = CampaignSpec::from_json(r#"{"app":"wavetoy","injetions":5}"#).unwrap_err();
         assert!(err.contains("unknown spec key"), "{err}");
+        // Guard and ft policies share the strict knob-table decoder.
+        let err = CampaignSpec::from_json(r#"{"app":"wavetoy","mode":"ft","ft":{"replica":2}}"#)
+            .unwrap_err();
+        assert_eq!(err, "unknown ft key `replica` (did you mean `replicas`?)");
     }
 }

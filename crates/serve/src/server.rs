@@ -37,9 +37,8 @@ use crate::http::{read_request, respond, start_stream, Request};
 use fl_apps::AppKind;
 use fl_inject::json::{parse, Json};
 use fl_inject::{
-    chaos_jsonl, coverage_jsonl, ft_jsonl, perturb_jsonl, record_line, run_spec,
-    sort_records_jsonl, CampaignSpec, CompletedSlots, EngineControl, EngineProgress, EngineSink,
-    SpecMode, SpecOutcome, TrialOutput,
+    coverage_jsonl, ft_jsonl, record_line, run_spec, sort_records_jsonl, CampaignSpec,
+    CompletedSlots, EngineControl, EngineProgress, EngineSink, Report, SpecOutcome, TrialOutput,
 };
 use std::collections::BTreeMap;
 use std::fs;
@@ -109,7 +108,7 @@ struct Campaign {
 impl Campaign {
     fn new(id: String, spec: CampaignSpec, dir: PathBuf) -> Campaign {
         let progress = EngineProgress {
-            total: planned_total(&spec),
+            total: spec.planned_trials(),
             ..EngineProgress::default()
         };
         Campaign {
@@ -145,20 +144,6 @@ impl Campaign {
             st.progress.resumed,
             st.progress.wall_nanos,
         )
-    }
-}
-
-/// Trials in the spec's slot space (known before the engine starts).
-fn planned_total(spec: &CampaignSpec) -> u64 {
-    match spec.mode {
-        // Ft campaigns run `injections` kill trials + `injections`
-        // replica trials.
-        SpecMode::Ft(_) => 2 * spec.campaign.injections as u64,
-        // Chaos and perturb campaigns run their fixed grids.
-        SpecMode::Chaos(_) | SpecMode::Perturb(_) => {
-            spec.record_classes().len() as u64 * spec.campaign.injections as u64
-        }
-        _ => spec.classes.len() as u64 * spec.campaign.injections as u64,
     }
 }
 
@@ -361,10 +346,7 @@ fn run_campaign(camp: &Arc<Campaign>) {
     let records = camp.dir.join("records.jsonl");
     let mut resume = None;
     let slot_classes = camp.spec.record_classes();
-    if matches!(
-        camp.spec.mode,
-        SpecMode::Campaign | SpecMode::Chaos(_) | SpecMode::Perturb(_)
-    ) {
+    if camp.spec.mode.streams_records() {
         if let Ok(text) = fs::read_to_string(&records) {
             // Sanitize before appending: a kill mid-write leaves a torn
             // tail with no trailing newline, and appending fresh lines
@@ -424,21 +406,16 @@ fn run_campaign(camp: &Arc<Campaign>) {
                 SpecOutcome::Ft(f) => {
                     let _ = fs::write(&records, ft_jsonl(&f));
                 }
-                SpecOutcome::Chaos(r) => {
+                SpecOutcome::Chaos(r) | SpecOutcome::Perturb(r) => {
                     // The streamed per-trial records stay in place (they
-                    // are the resume state); the cell-level coverage
-                    // matrix lands next to them.
-                    let _ = fs::write(camp.dir.join("matrix.jsonl"), chaos_jsonl(&r));
-                }
-                SpecOutcome::Perturb(r) => {
-                    // Same layout as chaos: per-trial records stay, the
-                    // detector-comparison matrix and its degradation
-                    // metrics land next to them.
-                    let _ = fs::write(camp.dir.join("matrix.jsonl"), perturb_jsonl(&r));
-                    let _ = fs::write(
-                        camp.dir.join("metrics.jsonl"),
-                        r.metrics().to_jsonl(camp.spec.app),
-                    );
+                    // are the resume state); the cell-level matrix, and
+                    // the slowdown metrics of presets that measure them,
+                    // land next to them.
+                    let _ = fs::write(camp.dir.join("matrix.jsonl"), r.jsonl());
+                    if let Some(m) = r.metrics() {
+                        let _ =
+                            fs::write(camp.dir.join("metrics.jsonl"), m.to_jsonl(camp.spec.app));
+                    }
                 }
             }
             // The done marker is the commit point: it is written last,
@@ -515,11 +492,10 @@ fn route(inner: &Arc<Inner>, req: &Request, stream: &mut TcpStream) -> Result<Re
             let camp = get(inner, id)?;
             let text = fs::read_to_string(camp.dir.join("records.jsonl"))
                 .map_err(|_| (404, format!("campaign {id} has no records yet")))?;
-            let body = match camp.spec.mode {
-                SpecMode::Campaign | SpecMode::Chaos(_) | SpecMode::Perturb(_) => {
-                    sort_records_jsonl(&text)
-                }
-                _ => text,
+            let body = if camp.spec.mode.streams_records() {
+                sort_records_jsonl(&text)
+            } else {
+                text
             };
             Ok(Some((200, JSONL, body)))
         }
@@ -622,6 +598,7 @@ fn watch_stream(inner: &Inner, camp: &Campaign, stream: &mut TcpStream) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fl_inject::SpecMode;
 
     #[test]
     fn campaign_ids_are_stable_and_spec_keyed() {
@@ -631,6 +608,10 @@ mod tests {
         assert_eq!(campaign_id(&a), campaign_id(&a));
         assert_ne!(campaign_id(&a), campaign_id(&other.to_json()));
         assert!(campaign_id(&a).starts_with('c'));
+        // Pinned: every existing state dir is named by this function over
+        // the canonical spec bytes (themselves pinned in fl-inject's spec
+        // tests).
+        assert_eq!(campaign_id(&a), "cdfa3abc7ae617ed9");
         assert_eq!(campaign_id(&a).len(), 17);
     }
 
@@ -638,10 +619,10 @@ mod tests {
     fn planned_totals_cover_every_mode() {
         let mut spec = CampaignSpec::new(AppKind::Wavetoy);
         spec.campaign.injections = 10;
-        assert_eq!(planned_total(&spec), 80); // 8 classes x 10
+        assert_eq!(spec.planned_trials(), 80); // 8 classes x 10
         spec.mode = SpecMode::Ft(fl_inject::FtPolicy::default());
-        assert_eq!(planned_total(&spec), 20); // kills + replicas
+        assert_eq!(spec.planned_trials(), 20); // kills + replicas
         spec.mode = SpecMode::Perturb(fl_inject::PerturbPolicy::default());
-        assert_eq!(planned_total(&spec), 150); // 5 models x 3 detections x 10
+        assert_eq!(spec.planned_trials(), 150); // 5 models x 3 detections x 10
     }
 }

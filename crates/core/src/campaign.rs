@@ -252,8 +252,8 @@ pub(crate) fn replay_trial_impl(
     let golden = app.golden(2_000_000_000);
     let budget = trial_budget(&golden, cfg);
     let dicts = Dictionaries::build(app);
-    let code = cfg.fastpath.then(|| app.image.pre_decode());
-    let epochs = build_epochs(app, cfg, budget, code.as_ref());
+    let code = app.image.pre_decode();
+    let epochs = build_epochs(app, cfg, budget, Some(&code));
     let run = run_trial_inner(
         app,
         &golden,
@@ -264,7 +264,7 @@ pub(crate) fn replay_trial_impl(
         epochs.as_ref(),
         cfg.obs_capacity,
         cfg.fastpath,
-        code.as_ref(),
+        Some(&code),
     );
     TrialTrace {
         record: run.record,

@@ -460,8 +460,8 @@ pub fn run_campaign_engine(
     let dicts = Dictionaries::build(app);
     // One campaign-wide pre-decoded store: the golden/epoch run and every
     // trial fork share it, so decode work is paid once per campaign.
-    let code = cfg.fastpath.then(|| app.image.pre_decode());
-    let epochs = build_epochs(app, cfg, budget, code.as_ref());
+    let code = app.image.pre_decode();
+    let epochs = build_epochs(app, cfg, budget, Some(&code));
     let observe = cfg.obs_capacity > 0;
     // Exec-cache telemetry. Sums are commutative, so the totals are
     // independent of worker count; resume-adopted slots contribute zero
@@ -487,7 +487,7 @@ pub fn run_campaign_engine(
                     epochs.as_ref(),
                     cfg.obs_capacity,
                     cfg.fastpath,
-                    code.as_ref(),
+                    Some(&code),
                 );
                 exec_stats.lock().unwrap().add(&run.world.exec_stats());
                 let metrics = observe.then(|| {

@@ -211,8 +211,8 @@ pub fn run_coverage_engine(
     let golden = app.golden(2_000_000_000);
     let budget = trial_budget(&golden, cfg);
     let dicts = Dictionaries::build(app);
-    let code = cfg.fastpath.then(|| app.image.pre_decode());
-    let epochs = build_epochs(app, cfg, budget, code.as_ref());
+    let code = app.image.pre_decode();
+    let epochs = build_epochs(app, cfg, budget, Some(&code));
 
     let counts = vec![cfg.injections; classes.len()];
     let (slots, progress) = run_pool(&counts, cfg.threads, control, sink, 0, |ci, k| {
@@ -228,7 +228,7 @@ pub fn run_coverage_engine(
             epochs.as_ref(),
             0,
             cfg.fastpath,
-            code.as_ref(),
+            Some(&code),
         )
         .record;
         let (guarded, report) = run_guarded_trial(

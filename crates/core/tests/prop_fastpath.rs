@@ -3,7 +3,8 @@
 //! snapshot forks handing children promoted superblocks — produces
 //! record streams, per-class metrics and instruction totals **byte
 //! identical** to the per-instruction slow path, at one worker and at
-//! four.
+//! four. The class list includes `Text`: those trials poke code, so
+//! the copy-on-poke re-decode of a bank is inside the contract too.
 //!
 //! This is the contract that lets `faultlab campaign` turn the fast path
 //! on by default: the speedup must be observationally free. The exec
@@ -20,7 +21,11 @@ use proptest::prelude::*;
 fn spec(seed: u64, fastpath: bool, threads: usize) -> CampaignSpec {
     let mut spec = CampaignSpec::new(fl_apps::AppKind::Wavetoy);
     spec.tiny = true;
-    spec.classes = vec![TargetClass::RegularReg, TargetClass::Stack];
+    spec.classes = vec![
+        TargetClass::RegularReg,
+        TargetClass::Stack,
+        TargetClass::Text,
+    ];
     spec.campaign.injections = 4;
     spec.campaign.seed = seed;
     spec.campaign.threads = threads;

@@ -87,9 +87,9 @@ impl ProgramImage {
     /// Link-time pre-decode: eagerly decode both text sections into a
     /// campaign-shareable [`crate::SharedCode`] store. Build this once
     /// per image and pass it to [`crate::Machine::load_shared`] so every
-    /// machine — across ranks, worlds and snapshot forks — starts with
-    /// warm decoded caches instead of decoding lazily on first
-    /// execution.
+    /// machine — across ranks, worlds and snapshot forks — shares one
+    /// store and its warm decoded caches instead of pre-decoding its
+    /// own.
     pub fn pre_decode(&self) -> crate::SharedCode {
         crate::SharedCode::build(self)
     }

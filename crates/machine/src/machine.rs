@@ -204,75 +204,15 @@ impl Default for MachineConfig {
     }
 }
 
-struct ICache {
-    base: u32,
-    entries: Vec<Option<(Insn, u8)>>,
-}
-
-impl ICache {
-    fn new(base: u32, len: u32) -> Self {
-        ICache {
-            base,
-            entries: vec![None; (len as usize).div_ceil(4)],
-        }
-    }
-
-    fn idx(&self, addr: u32) -> Option<usize> {
-        if addr < self.base || !addr.is_multiple_of(4) {
-            return None;
-        }
-        let i = ((addr - self.base) / 4) as usize;
-        (i < self.entries.len()).then_some(i)
-    }
-
-    fn invalidate(&mut self, addr: u32) {
-        // A poke at `addr` can change the instruction starting there or
-        // the immediate word of the instruction one word earlier.
-        if let Some(i) = self.idx(addr & !3) {
-            self.entries[i] = None;
-            if i > 0 {
-                self.entries[i - 1] = None;
-            }
-        }
-    }
-}
-
 /// A decoded basic block: the straight-line instruction run starting at
 /// some text address, ending at the first block-ending instruction (or
-/// a size cap). Instructions are stored as `(insn, words)` exactly as
-/// the per-instruction icache stores them.
+/// `MAX_BLOCK_INSNS`). Instructions are stored as `(insn, words)`.
 struct Block {
-    insns: Vec<(Insn, u8)>,
-}
-
-/// Basic-block cache, indexed like [`ICache`] by entry word. Blocks are
-/// built lazily by [`Machine::run`]'s fast path and flushed wholesale on
-/// any text poke (pokes happen at injection rate, so coarse-grained
-/// invalidation costs nothing measurable); `generation` detects a flush
-/// that lands while a block is checked out for execution.
-struct BlockCache {
-    slots: Vec<Option<Block>>,
-    generation: u64,
-}
-
-impl BlockCache {
-    fn new(len: u32) -> Self {
-        BlockCache {
-            slots: (0..(len as usize).div_ceil(4)).map(|_| None).collect(),
-            generation: 0,
-        }
-    }
-
-    fn flush(&mut self) {
-        self.generation += 1;
-        for s in &mut self.slots {
-            *s = None;
-        }
-    }
+    insns: Box<[(Insn, u8)]>,
 }
 
 /// Straight-line blocks stop at the first block-ending instruction or
-/// at this many instructions, on both the shared and private paths.
+/// at this many instructions.
 const MAX_BLOCK_INSNS: usize = 64;
 
 /// Block-entry dispatch count after which a superblock is compiled.
@@ -325,34 +265,44 @@ impl ExecStats {
     }
 }
 
-/// One operation of a compiled superblock. Inline variants skip the
-/// full `exec` dispatch and do not touch EIP on the non-faulting path
-/// (`exec` never *reads* EIP, so it may go stale inside a trace as long
-/// as every fault, exit and side exit restores it); the `Exec` variants
-/// wrap the general interpreter for everything else. `CmpIJ`/`CmpJ` and
-/// `LdAlu` are the macro-op fusions of the FL compiler's compare+branch
-/// and load+op idioms.
+/// One operation of a compiled superblock. Inline variants run the
+/// interpreter's own op body (`Machine::exec_op`, or `exec_fpu` for the
+/// FPU family) on an `Insn` of their own variant, so its `match` folds
+/// away, and do not touch EIP on the non-faulting path (op bodies never
+/// *read* EIP, so it may go stale inside a trace as long as every fault,
+/// exit and side exit restores it); each carries its own address `at`
+/// for that restore. The `Exec` variant runs the full interpreter for
+/// the remaining control transfers. `CmpIJ`/`CmpJ` and `LdAlu` are the
+/// macro-op fusions of the FL compiler's compare+branch and load+op
+/// idioms.
 #[derive(Debug, Clone)]
 enum TraceOp {
+    Nop {
+        at: u32,
+    },
     MovI {
         rd: Gpr,
         imm: u32,
+        at: u32,
     },
     Mov {
         rd: Gpr,
         rs: Gpr,
+        at: u32,
     },
     AddI {
         rd: Gpr,
         ra: Gpr,
         imm: u32,
+        at: u32,
     },
-    /// Non-trapping ALU only; Div/Mod go through `Exec` for SIGFPE.
+    /// Any ALU op, Div/Mod (and their SIGFPE) included.
     Alu {
         op: AluOp,
         rd: Gpr,
         ra: Gpr,
         rb: Gpr,
+        at: u32,
     },
     Ld {
         rd: Gpr,
@@ -376,8 +326,9 @@ enum TraceOp {
         addr: u32,
         at: u32,
     },
-    /// Fused load + ALU over the loaded value (two retired insns; on a
-    /// load fault only the load has retired and EIP points at it).
+    /// Fused load + ALU over the loaded value (two retired insns). A
+    /// fault in either half reports that half's own address: on a load
+    /// fault only the load has retired, on a Div/Mod trap both have.
     LdAlu {
         rd: Gpr,
         base: Gpr,
@@ -387,12 +338,14 @@ enum TraceOp {
         ard: Gpr,
         ara: Gpr,
         arb: Gpr,
+        alu_at: u32,
     },
     /// Fused compare-immediate + conditional branch (two retired insns,
     /// one retired block; flags are still architecturally written).
     CmpIJ {
         ra: Gpr,
         imm: u32,
+        at: u32,
         cond: Cond,
         target: u32,
         fall: u32,
@@ -402,6 +355,7 @@ enum TraceOp {
     CmpJ {
         ra: Gpr,
         rb: Gpr,
+        at: u32,
         cond: Cond,
         target: u32,
         fall: u32,
@@ -411,15 +365,18 @@ enum TraceOp {
         rd: Gpr,
         ra: Gpr,
         imm: u32,
+        at: u32,
     },
     /// Standalone compare (not fused with a branch): flags only.
     CmpOnly {
         ra: Gpr,
         rb: Gpr,
+        at: u32,
     },
     CmpIOnly {
         ra: Gpr,
         imm: u32,
+        at: u32,
     },
     LdB {
         rd: Gpr,
@@ -472,27 +429,22 @@ enum TraceOp {
         expect: u32,
         at: u32,
     },
-    /// Any FPU instruction, through the shared `exec_fpu` body inlined
-    /// into the trace loop.
+    /// Any FPU instruction, through `exec_fpu` called directly (a
+    /// run-time dispatch on `insn` either way, so not via `exec_op`).
     Fpu {
         insn: Insn,
         at: u32,
     },
-    /// Any other instruction, through the full interpreter.
+    /// A control transfer through the full interpreter, with a
+    /// statically predicted continuation: execution leaves the pass when
+    /// EIP lands anywhere else. Trace-ending transfers (indirect
+    /// jump/call, unmatched return, halt) are always the last op, so
+    /// leaving is all they can do.
     Exec {
         insn: Insn,
         at: u32,
         next: u32,
-        end: bool,
-    },
-    /// A control transfer with a statically predicted continuation:
-    /// execution leaves the pass when EIP lands anywhere else.
-    ExecBranch {
-        insn: Insn,
-        at: u32,
-        next: u32,
         expect: u32,
-        end: bool,
     },
     /// Restore EIP at a trace tail that falls off mid-block (the
     /// preceding inline op left it stale).
@@ -517,19 +469,27 @@ struct Trace {
     ops: Vec<TraceOp>,
 }
 
-/// One text bank's share of the campaign-wide decoded-code store: every
-/// aligned word pre-decoded at image-load time, plus lazily assembled
-/// basic blocks and hot-promoted superblocks published through
-/// `OnceLock` slots (first publisher wins; contents are pure functions
-/// of `insns`, so a lost race publishes an identical value). The bank
-/// is immutable after construction, so any number of machines — across
-/// ranks, snapshot forks and worker threads — share one `Arc` and warm
-/// each other's caches for free.
+/// One text bank's decoded-code store: every aligned word pre-decoded,
+/// plus lazily assembled basic blocks and hot-promoted superblocks
+/// published through `OnceLock` slots (first publisher wins; contents
+/// are pure functions of `insns`, so a lost race publishes an identical
+/// value). The bank is immutable after construction, so any number of
+/// machines — across ranks, snapshot forks and worker threads — share
+/// one `Arc` and warm each other's caches for free. A text poke never
+/// mutates it: the poked machine re-decodes that bank into a private
+/// store of its own (copy-on-poke).
 pub(crate) struct SharedBank {
     base: u32,
+    /// Mapping length in bytes (`text_len.max(4)`, like the mapping).
+    len: u32,
+    /// Re-decoded from one machine's poked text rather than the image.
+    private: bool,
     insns: Vec<Option<(Insn, u8)>>,
+    /// The slots hold pointers, not contents, so the many that stay
+    /// empty stay small: every word of every store, a poked bank's
+    /// private one included, has one of each.
     blocks: Vec<OnceLock<Block>>,
-    traces: Vec<OnceLock<Trace>>,
+    traces: Vec<OnceLock<Box<Trace>>>,
 }
 
 impl SharedBank {
@@ -568,6 +528,8 @@ impl SharedBank {
         }
         SharedBank {
             base,
+            len: map_len as u32,
+            private: false,
             blocks: (0..words).map(|_| OnceLock::new()).collect(),
             traces: (0..words).map(|_| OnceLock::new()).collect(),
             insns,
@@ -582,7 +544,7 @@ impl SharedBank {
         (i < self.insns.len()).then_some(i)
     }
 
-    /// The shared decoded block at slot `i`, assembling and publishing
+    /// The decoded block at slot `i`, assembling and publishing
     /// it on first use anywhere in the campaign.
     fn block(&self, i: usize, stats: &mut ExecStats) -> Option<&Block> {
         if let Some(b) = self.blocks[i].get() {
@@ -595,8 +557,7 @@ impl SharedBank {
     }
 
     /// Assemble the straight-line block at slot `i` from the pre-decoded
-    /// words — the shared-store twin of `Machine::build_block`, with the
-    /// identical stop conditions.
+    /// words.
     fn assemble_block(&self, i: usize) -> Option<Block> {
         let mut insns = Vec::new();
         let mut j = i;
@@ -607,7 +568,9 @@ impl SharedBank {
             }
             j += len as usize;
         }
-        (!insns.is_empty()).then_some(Block { insns })
+        (!insns.is_empty()).then(|| Block {
+            insns: insns.into_boxed_slice(),
+        })
     }
 
     /// Compile the superblock starting at `entry`: follow the straight
@@ -643,6 +606,7 @@ impl SharedBank {
                     ops.push(TraceOp::CmpIJ {
                         ra,
                         imm,
+                        at,
                         cond,
                         target,
                         fall,
@@ -665,6 +629,7 @@ impl SharedBank {
                     ops.push(TraceOp::CmpJ {
                         ra,
                         rb,
+                        at,
                         cond,
                         target,
                         fall,
@@ -680,7 +645,7 @@ impl SharedBank {
                     continue;
                 }
             }
-            // Macro-op fusion: load + non-trapping ALU.
+            // Macro-op fusion: load + ALU.
             if let Insn::Ld { rd, base, off } = insn {
                 if let Some((
                     Insn::Alu {
@@ -692,41 +657,39 @@ impl SharedBank {
                     alen,
                 )) = peek(next)
                 {
-                    if !matches!(op, AluOp::Div | AluOp::Mod) {
-                        ops.push(TraceOp::LdAlu {
-                            rd,
-                            base,
-                            off,
-                            at,
-                            op,
-                            ard,
-                            ara,
-                            arb,
-                        });
-                        insn_count += 2;
-                        at = next.wrapping_add(4 * alen as u32);
-                        if at == entry {
-                            closes_loop = true;
-                            break;
-                        }
-                        continue;
+                    ops.push(TraceOp::LdAlu {
+                        rd,
+                        base,
+                        off,
+                        at,
+                        op,
+                        ard,
+                        ara,
+                        arb,
+                        alu_at: next,
+                    });
+                    insn_count += 2;
+                    at = next.wrapping_add(4 * alen as u32);
+                    if at == entry {
+                        closes_loop = true;
+                        break;
                     }
+                    continue;
                 }
             }
 
             let mut cont = next;
             let mut stop = false;
             let op = match insn {
-                Insn::MovI { rd, imm } => TraceOp::MovI { rd, imm },
-                Insn::Mov { rd, rs } => TraceOp::Mov { rd, rs },
-                Insn::AddI { rd, ra, imm } => TraceOp::AddI { rd, ra, imm },
-                Insn::MulI { rd, ra, imm } => TraceOp::MulI { rd, ra, imm },
-                Insn::Alu { op, rd, ra, rb } if !matches!(op, AluOp::Div | AluOp::Mod) => {
-                    TraceOp::Alu { op, rd, ra, rb }
-                }
+                Insn::Nop => TraceOp::Nop { at },
+                Insn::MovI { rd, imm } => TraceOp::MovI { rd, imm, at },
+                Insn::Mov { rd, rs } => TraceOp::Mov { rd, rs, at },
+                Insn::AddI { rd, ra, imm } => TraceOp::AddI { rd, ra, imm, at },
+                Insn::MulI { rd, ra, imm } => TraceOp::MulI { rd, ra, imm, at },
+                Insn::Alu { op, rd, ra, rb } => TraceOp::Alu { op, rd, ra, rb, at },
                 // Unfused compares (the branch fusion above didn't fire).
-                Insn::Cmp { ra, rb } => TraceOp::CmpOnly { ra, rb },
-                Insn::CmpI { ra, imm } => TraceOp::CmpIOnly { ra, imm },
+                Insn::Cmp { ra, rb } => TraceOp::CmpOnly { ra, rb, at },
+                Insn::CmpI { ra, imm } => TraceOp::CmpIOnly { ra, imm, at },
                 Insn::Ld { rd, base, off } => TraceOp::Ld { rd, base, off, at },
                 Insn::St { rb, base, off } => TraceOp::St { rb, base, off, at },
                 Insn::LdG { rd, addr } => TraceOp::LdG { rd, addr, at },
@@ -771,18 +734,17 @@ impl SharedBank {
                             insn,
                             at,
                             next,
-                            end: true,
+                            expect: next,
                         }
                     }
                 },
                 // Print-family syscalls continue at `next`; MPI traps and
                 // exits leave the pass through their Exit instead.
-                Insn::Sys { .. } => TraceOp::ExecBranch {
+                Insn::Sys { .. } => TraceOp::Exec {
                     insn,
                     at,
                     next,
                     expect: next,
-                    end: true,
                 },
                 Insn::JmpR { .. } | Insn::CallR { .. } | Insn::Halt => {
                     stop = true;
@@ -790,16 +752,11 @@ impl SharedBank {
                         insn,
                         at,
                         next,
-                        end: true,
+                        expect: next,
                     }
                 }
-                other if is_fpu_insn(&other) => TraceOp::Fpu { insn: other, at },
-                other => TraceOp::Exec {
-                    insn: other,
-                    at,
-                    next,
-                    end: false,
-                },
+                // Everything left is the FPU family, as in `exec_op`.
+                fpu => TraceOp::Fpu { insn: fpu, at },
             };
             ops.push(op);
             insn_count += 1;
@@ -818,33 +775,20 @@ impl SharedBank {
         if ops.is_empty() {
             return None;
         }
-        // A pass must leave EIP correct when it falls off the tail: ops
-        // that only write EIP on faults get an explicit fall-through to
-        // the chain continuation (`at` holds it at every break above).
-        if let Some(
-            TraceOp::MovI { .. }
-            | TraceOp::Mov { .. }
-            | TraceOp::AddI { .. }
-            | TraceOp::MulI { .. }
-            | TraceOp::Alu { .. }
-            | TraceOp::CmpOnly { .. }
-            | TraceOp::CmpIOnly { .. }
-            | TraceOp::Ld { .. }
-            | TraceOp::St { .. }
-            | TraceOp::LdG { .. }
-            | TraceOp::StG { .. }
-            | TraceOp::LdB { .. }
-            | TraceOp::StB { .. }
-            | TraceOp::LdAlu { .. }
-            | TraceOp::Push { .. }
-            | TraceOp::Pop { .. }
-            | TraceOp::Enter { .. }
-            | TraceOp::Leave { .. }
-            | TraceOp::JmpU
-            | TraceOp::CallPush { .. }
-            | TraceOp::Fpu { .. },
-        ) = ops.last()
-        {
+        // A pass must leave EIP correct when it falls off the tail: every
+        // op but the EIP-writing control transfers gets an explicit
+        // fall-through to the chain continuation (`at` holds it at every
+        // break above).
+        if !matches!(
+            ops.last(),
+            Some(
+                TraceOp::CmpIJ { .. }
+                    | TraceOp::CmpJ { .. }
+                    | TraceOp::Jmp { .. }
+                    | TraceOp::RetTo { .. }
+                    | TraceOp::Exec { .. }
+            )
+        ) {
             ops.push(TraceOp::FallThrough { to: at });
         }
         Some(Trace {
@@ -887,93 +831,51 @@ impl std::fmt::Debug for SharedCode {
     }
 }
 
-/// One text bank's view of the decode machinery: the `Arc`-shared
-/// pre-decoded store while the bank's text still matches the image, or
-/// private lazy caches after a poke demotes it (copy-on-poke — the
-/// shared store always describes pristine text, so a text-corrupting
-/// fault drops the handle and falls back to the PR 4 per-machine
-/// caches with their generation-flush semantics).
+/// One text bank's view of the decode machinery: the decoded store
+/// (the campaign-wide shared one while the bank's text still matches
+/// the image, a private re-decode after a poke) plus this machine's
+/// promotion heat.
 struct CacheBank {
-    base: u32,
-    /// Mapping length in bytes (`text_len.max(4)`, like the mappings).
-    len: u32,
-    /// The shared store; `None` once demoted or when loaded cold.
-    shared: Option<Arc<SharedBank>>,
-    /// Per-machine promotion heat for shared block entries (lazily
-    /// sized — most forks never run anything hot).
+    store: Arc<SharedBank>,
+    /// Per-machine promotion heat for block entries (lazily sized —
+    /// most forks never run anything hot).
     hotness: Vec<u16>,
-    /// Private decode caches, used only when `shared` is gone.
-    icache: Option<Box<ICache>>,
-    bcache: Option<Box<BlockCache>>,
 }
 
 impl CacheBank {
-    fn cold(base: u32, len: u32) -> CacheBank {
+    fn new(store: Arc<SharedBank>) -> CacheBank {
         CacheBank {
-            base,
-            len: len.max(4),
-            shared: None,
+            store,
             hotness: Vec::new(),
-            icache: None,
-            bcache: None,
         }
-    }
-
-    fn warm(base: u32, len: u32, shared: Arc<SharedBank>) -> CacheBank {
-        CacheBank {
-            shared: Some(shared),
-            ..CacheBank::cold(base, len)
-        }
-    }
-
-    fn idx(&self, addr: u32) -> Option<usize> {
-        if addr < self.base || !addr.is_multiple_of(4) {
-            return None;
-        }
-        let i = ((addr - self.base) / 4) as usize;
-        (i < (self.len as usize).div_ceil(4)).then_some(i)
     }
 
     fn heat(&mut self, i: usize) -> &mut u16 {
         if self.hotness.is_empty() {
-            self.hotness = vec![0; (self.len as usize).div_ceil(4)];
+            self.hotness = vec![0; self.store.insns.len()];
         }
         &mut self.hotness[i]
     }
 
-    fn icache_mut(&mut self) -> &mut ICache {
-        self.icache
-            .get_or_insert_with(|| Box::new(ICache::new(self.base, self.len)))
-    }
-
-    fn bcache_mut(&mut self) -> &mut BlockCache {
-        self.bcache
-            .get_or_insert_with(|| Box::new(BlockCache::new(self.len)))
-    }
-
-    /// A privileged poke landed on [lo, hi): demote a shared bank to
-    /// the private caches, or flush the private caches (the
-    /// pre-demotion semantics).
-    fn poke(&mut self, lo: u32, hi: u32, stats: &mut ExecStats) {
-        let bank_end = self.base + self.len;
-        if lo >= bank_end || hi <= self.base {
+    /// A privileged poke landed on [lo, hi): if it touches this bank,
+    /// re-decode the bank's current bytes into a private store
+    /// (copy-on-poke — the store being replaced may be shared with
+    /// other machines and is never mutated).
+    fn poke(&mut self, mem: &Memory, lo: u32, hi: u32, stats: &mut ExecStats) {
+        let (base, len) = (self.store.base, self.store.len);
+        if lo >= base + len || hi <= base {
             return;
         }
-        if self.shared.take().is_some() {
-            self.hotness = Vec::new();
-            self.icache = None;
-            self.bcache = None;
+        if !self.store.private {
             stats.demotions += 1;
-            return;
         }
-        if let Some(ic) = self.icache.as_deref_mut() {
-            for a in lo..hi {
-                ic.invalidate(a);
-            }
-        }
-        if let Some(bc) = self.bcache.as_deref_mut() {
-            bc.flush();
-        }
+        let mut bytes = vec![0; len as usize];
+        mem.peek(base, &mut bytes);
+        self.store = Arc::new(SharedBank {
+            private: true,
+            ..SharedBank::build(base, &bytes)
+        });
+        self.hotness = Vec::new();
     }
 }
 
@@ -1000,50 +902,6 @@ impl CodeCache {
         } else {
             &mut self.lib
         }
-    }
-}
-
-/// The FPU family — exactly the variants `Machine::exec_fpu` handles, so
-/// the trace builder can route them to the inline [`TraceOp::Fpu`] arm.
-fn is_fpu_insn(i: &Insn) -> bool {
-    matches!(
-        i,
-        Insn::Fld { .. }
-            | Insn::FldG { .. }
-            | Insn::Fst { .. }
-            | Insn::Fstp { .. }
-            | Insn::FstpG { .. }
-            | Insn::Fild { .. }
-            | Insn::Fistp { .. }
-            | Insn::FildR { .. }
-            | Insn::FistpR { .. }
-            | Insn::Fldz
-            | Insn::Fld1
-            | Insn::Fbinp { .. }
-            | Insn::Funop { .. }
-            | Insn::Fxch { .. }
-            | Insn::FldSt { .. }
-            | Insn::Fcomip
-            | Insn::Fpop
-    )
-}
-
-/// ALU ops that cannot trap (everything but Div/Mod) — the trace path's
-/// inline arms share this with nothing else; `exec` keeps its own match
-/// because it must also raise SIGFPE.
-#[inline]
-fn alu_nontrapping(op: AluOp, a: u32, b: u32) -> u32 {
-    match op {
-        AluOp::Add => a.wrapping_add(b),
-        AluOp::Sub => a.wrapping_sub(b),
-        AluOp::Mul => a.wrapping_mul(b),
-        AluOp::And => a & b,
-        AluOp::Or => a | b,
-        AluOp::Xor => a ^ b,
-        AluOp::Shl => a.wrapping_shl(b & 31),
-        AluOp::Shr => a.wrapping_shr(b & 31),
-        AluOp::Sar => ((a as i32).wrapping_shr(b & 31)) as u32,
-        AluOp::Div | AluOp::Mod => unreachable!("trapping ALU ops never inline into traces"),
     }
 }
 
@@ -1104,9 +962,10 @@ impl Machine {
     /// hand it to every world, so all ranks, snapshot forks and worker
     /// threads share decoded blocks and promoted superblocks.
     ///
-    /// With `None`, a fresh store is built — unless the configuration
-    /// cannot use it (fast path off, or access tracing on), in which
-    /// case the machine loads cold and decodes lazily as before.
+    /// With `None`, a fresh store is built. Every machine decodes
+    /// through a store, whatever its configuration: with the fast path
+    /// off or tracing on, `step()` still reads instructions from it, it
+    /// just never enters blocks or superblocks.
     pub fn load_shared(
         image: &ProgramImage,
         cfg: MachineConfig,
@@ -1177,29 +1036,22 @@ impl Machine {
         mem.poke(lib_data_base, &image.lib_data);
 
         let heap_limit = heap_base + cfg.heap_limit.min(LIB_BASE - heap_base);
-        let code = if cfg.fastpath && !cfg.trace {
-            let owned;
-            let code = match code {
-                Some(c) => c,
-                None => {
-                    owned = SharedCode::build(image);
-                    &owned
-                }
-            };
-            debug_assert_eq!(
-                code.app.insns.len(),
-                (text_len.max(4) as usize).div_ceil(4),
-                "shared store was built from a different image"
-            );
-            CodeCache {
-                app: CacheBank::warm(TEXT_BASE, text_len, code.app.clone()),
-                lib: CacheBank::warm(LIB_BASE, lib_text_len, code.lib.clone()),
+        let owned;
+        let code = match code {
+            Some(c) => c,
+            None => {
+                owned = SharedCode::build(image);
+                &owned
             }
-        } else {
-            CodeCache {
-                app: CacheBank::cold(TEXT_BASE, text_len),
-                lib: CacheBank::cold(LIB_BASE, lib_text_len),
-            }
+        };
+        debug_assert_eq!(
+            code.app.len,
+            text_len.max(4),
+            "shared store was built from a different image"
+        );
+        let code = CodeCache {
+            app: CacheBank::new(code.app.clone()),
+            lib: CacheBank::new(code.lib.clone()),
         };
         Machine {
             cpu: Cpu::new(image.entry, STACK_TOP - 16),
@@ -1423,17 +1275,17 @@ impl Machine {
         }
     }
 
-    /// Block/superblock dispatch: look up the shared decoded block (or
+    /// Block/superblock dispatch: look up the decoded block (or
     /// superblock) at EIP and execute it in a tight inner loop, paying
     /// the cache-probe and dispatch overhead once per block — or once
     /// per whole loop body when a superblock pass is admitted — instead
     /// of once per instruction.
     fn run_fast(&mut self, stop_at: u64) -> Exit {
         let limit = self.budget.min(stop_at);
-        // The shared banks cannot change during a run (demotion happens
-        // on privileged pokes, between runs), so resolve them once.
-        let app = self.code.app.shared.clone();
-        let lib = self.code.lib.shared.clone();
+        // The stores cannot change during a run (a poke replaces one
+        // between runs), so resolve them once.
+        let app = self.code.app.store.clone();
+        let lib = self.code.lib.store.clone();
         loop {
             if self.counters.insns >= limit {
                 return if self.counters.insns >= self.budget {
@@ -1444,27 +1296,17 @@ impl Machine {
             }
             let eip = self.cpu.eip;
             let bank = if eip < LIB_BASE { &app } else { &lib };
-            let exit = match bank.as_deref() {
-                Some(b) => self.dispatch_shared(b, eip, stop_at, limit),
-                None => self.dispatch_private(eip, stop_at),
-            };
-            if let Some(exit) = exit {
+            if let Some(exit) = self.dispatch(bank, eip, stop_at, limit) {
                 return exit;
             }
         }
     }
 
-    /// One dispatch against the shared store: enter a promoted
-    /// superblock if a full pass fits under the limits, otherwise heat
-    /// the entry (compiling a superblock at the threshold) and run the
-    /// shared decoded block.
-    fn dispatch_shared(
-        &mut self,
-        bank: &SharedBank,
-        eip: u32,
-        stop_at: u64,
-        limit: u64,
-    ) -> Option<Exit> {
+    /// One dispatch against a bank's store: enter a promoted superblock
+    /// if a full pass fits under the limits, otherwise heat the entry
+    /// (compiling a superblock at the threshold) and run the decoded
+    /// block.
+    fn dispatch(&mut self, bank: &SharedBank, eip: u32, stop_at: u64, limit: u64) -> Option<Exit> {
         let Some(i) = bank.idx(eip) else {
             // Unaligned or outside the bank: single-step raises whatever
             // is architecturally right.
@@ -1482,7 +1324,7 @@ impl Machine {
                 *h = h.saturating_add(1);
                 if *h == TRACE_HOT_THRESHOLD {
                     if let Some(tr) = bank.build_trace(eip) {
-                        let _ = bank.traces[i].set(tr);
+                        let _ = bank.traces[i].set(Box::new(tr));
                     }
                 }
             }
@@ -1495,40 +1337,6 @@ impl Machine {
         self.exec_block(block, eip, stop_at)
     }
 
-    /// One dispatch against the private caches (a demoted bank, or a
-    /// configuration that never attached the shared store).
-    fn dispatch_private(&mut self, eip: u32, stop_at: u64) -> Option<Exit> {
-        let bank = self.code.bank_mut(eip);
-        let Some(idx) = bank.idx(eip) else {
-            // Not a block-cacheable address (unaligned or outside
-            // text): single-step, which raises the right signal.
-            return self.step();
-        };
-        let bc = bank.bcache_mut();
-        let generation = bc.generation;
-        let slot = bc.slots[idx].take();
-        if slot.is_some() {
-            self.exec_stats.block_hits += 1;
-        } else {
-            self.exec_stats.block_misses += 1;
-        }
-        let block = match slot.or_else(|| self.build_block(eip)) {
-            Some(b) => b,
-            // Head instruction unfetchable/undecodable: the step path
-            // raises the proper SIGSEGV/SIGILL with events.
-            None => return self.step(),
-        };
-        let exit = self.exec_block(&block, eip, stop_at);
-        // Put the block back unless a flush raced the execution
-        // (nothing inside exec can poke text today, but the generation
-        // check keeps the contract local).
-        let bc = self.code.bank_mut(eip).bcache_mut();
-        if bc.generation == generation {
-            bc.slots[idx] = Some(block);
-        }
-        exit
-    }
-
     /// Execute one full pass (or several, for a loop-closing trace) of a
     /// compiled superblock. The dispatcher has already verified that an
     /// entire pass fits under both the budget and the quantum, so the
@@ -1536,7 +1344,7 @@ impl Machine {
     /// advance per instruction because syscalls and events read them.
     ///
     /// EIP discipline: inline ops leave EIP stale and restore it on a
-    /// fault; `Exec`-family ops set it before dispatching (so early
+    /// fault; `Exec` ops set it before dispatching (so early
     /// interpreter returns see the right value); every return path
     /// below therefore leaves `cpu.eip` architecturally exact.
     fn exec_trace(&mut self, tr: &Trace, limit: u64) -> Option<Exit> {
@@ -1548,109 +1356,74 @@ impl Machine {
         // else reads the counters mid-pass.
         let mut insns = self.counters.insns;
         let mut blocks = self.counters.blocks;
+        let last = tr.ops.len() - 1;
         macro_rules! sync {
             () => {{
                 self.counters.insns = insns;
                 self.counters.blocks = blocks;
             }};
         }
+        // Retire one instruction through the interpreter's op body; on a
+        // signal, restore EIP to that instruction and raise, as `step()`
+        // would.
+        macro_rules! op {
+            ($insn:expr, $at:expr) => {
+                op!(@retire self.exec_op($insn, $at, blocks), $at)
+            };
+            (@retire $run:expr, $at:expr) => {{
+                insns += 1;
+                match $run {
+                    Ok(v) => v,
+                    Err(sig) => {
+                        sync!();
+                        self.cpu.eip = $at;
+                        return Some(self.raise(sig));
+                    }
+                }
+            }};
+        }
+        // A mispredicted control transfer leaves the pass; EIP already
+        // holds the actual target.
+        macro_rules! side_exit {
+            ($i:expr) => {{
+                if $i != last {
+                    self.exec_stats.trace_side_exits += 1;
+                }
+                sync!();
+                return None;
+            }};
+        }
+        // Retire a predicted conditional branch: EIP always gets the
+        // actual target, the unpredicted direction side-exits.
+        macro_rules! branch {
+            ($i:expr, $cond:expr, $target:expr, $fall:expr, $expect_taken:expr) => {{
+                insns += 1;
+                blocks += 1;
+                let taken = self.cond_holds($cond);
+                self.cpu.eip = if taken { $target } else { $fall };
+                if taken != $expect_taken {
+                    side_exit!($i);
+                }
+            }};
+        }
         loop {
             self.exec_stats.trace_hits += 1;
-            let last = tr.ops.len() - 1;
             for (i, op) in tr.ops.iter().enumerate() {
                 match *op {
-                    TraceOp::MovI { rd, imm } => {
-                        insns += 1;
-                        self.cpu.set(rd, imm);
-                    }
-                    TraceOp::Mov { rd, rs } => {
-                        insns += 1;
-                        let v = self.cpu.get(rs);
-                        self.cpu.set(rd, v);
-                    }
-                    TraceOp::AddI { rd, ra, imm } => {
-                        insns += 1;
-                        let v = self.cpu.get(ra).wrapping_add(imm);
-                        self.cpu.set(rd, v);
-                    }
-                    TraceOp::MulI { rd, ra, imm } => {
-                        insns += 1;
-                        let v = self.cpu.get(ra).wrapping_mul(imm);
-                        self.cpu.set(rd, v);
-                    }
-                    TraceOp::Alu { op, rd, ra, rb } => {
-                        insns += 1;
-                        let v = alu_nontrapping(op, self.cpu.get(ra), self.cpu.get(rb));
-                        self.cpu.set(rd, v);
-                    }
-                    TraceOp::CmpOnly { ra, rb } => {
-                        insns += 1;
-                        let (a, b) = (self.cpu.get(ra), self.cpu.get(rb));
-                        self.flags_from_sub(a, b);
-                    }
-                    TraceOp::CmpIOnly { ra, imm } => {
-                        insns += 1;
-                        let a = self.cpu.get(ra);
-                        self.flags_from_sub(a, imm);
-                    }
-                    TraceOp::Ld { rd, base, off, at } => {
-                        insns += 1;
-                        let addr = self.cpu.get(base).wrapping_add(off as u32);
-                        match self.mem.load_u32(addr, blocks) {
-                            Ok(v) => self.cpu.set(rd, v),
-                            Err(f) => {
-                                sync!();
-                                return Some(self.trace_fault(at, f.addr));
-                            }
-                        }
-                    }
-                    TraceOp::St { rb, base, off, at } => {
-                        insns += 1;
-                        let addr = self.cpu.get(base).wrapping_add(off as u32);
-                        let v = self.cpu.get(rb);
-                        if let Err(f) = self.mem.store_u32(addr, v, blocks) {
-                            sync!();
-                            return Some(self.trace_fault(at, f.addr));
-                        }
-                    }
-                    TraceOp::LdG { rd, addr, at } => {
-                        insns += 1;
-                        match self.mem.load_u32(addr, blocks) {
-                            Ok(v) => self.cpu.set(rd, v),
-                            Err(f) => {
-                                sync!();
-                                return Some(self.trace_fault(at, f.addr));
-                            }
-                        }
-                    }
-                    TraceOp::StG { rs, addr, at } => {
-                        insns += 1;
-                        let v = self.cpu.get(rs);
-                        if let Err(f) = self.mem.store_u32(addr, v, blocks) {
-                            sync!();
-                            return Some(self.trace_fault(at, f.addr));
-                        }
-                    }
-                    TraceOp::LdB { rd, base, off, at } => {
-                        insns += 1;
-                        let addr = self.cpu.get(base).wrapping_add(off as u32);
-                        match self.mem.load_u8(addr, blocks) {
-                            Ok(v) => self.cpu.set(rd, v as u32),
-                            Err(f) => {
-                                sync!();
-                                return Some(self.trace_fault(at, f.addr));
-                            }
-                        }
-                    }
-                    TraceOp::StB { rb, base, off, at } => {
-                        insns += 1;
-                        let addr = self.cpu.get(base).wrapping_add(off as u32);
-                        let v = self.cpu.get(rb) as u8;
-                        if let Err(f) = self.mem.store_u8(addr, v, blocks) {
-                            sync!();
-                            return Some(self.trace_fault(at, f.addr));
-                        }
-                    }
+                    TraceOp::Nop { at } => op!(Insn::Nop, at),
+                    TraceOp::MovI { rd, imm, at } => op!(Insn::MovI { rd, imm }, at),
+                    TraceOp::Mov { rd, rs, at } => op!(Insn::Mov { rd, rs }, at),
+                    TraceOp::AddI { rd, ra, imm, at } => op!(Insn::AddI { rd, ra, imm }, at),
+                    TraceOp::MulI { rd, ra, imm, at } => op!(Insn::MulI { rd, ra, imm }, at),
+                    TraceOp::Alu { op, rd, ra, rb, at } => op!(Insn::Alu { op, rd, ra, rb }, at),
+                    TraceOp::CmpOnly { ra, rb, at } => op!(Insn::Cmp { ra, rb }, at),
+                    TraceOp::CmpIOnly { ra, imm, at } => op!(Insn::CmpI { ra, imm }, at),
+                    TraceOp::Ld { rd, base, off, at } => op!(Insn::Ld { rd, base, off }, at),
+                    TraceOp::St { rb, base, off, at } => op!(Insn::St { rb, base, off }, at),
+                    TraceOp::LdG { rd, addr, at } => op!(Insn::LdG { rd, addr }, at),
+                    TraceOp::StG { rs, addr, at } => op!(Insn::StG { rs, addr }, at),
+                    TraceOp::LdB { rd, base, off, at } => op!(Insn::LdB { rd, base, off }, at),
+                    TraceOp::StB { rb, base, off, at } => op!(Insn::StB { rb, base, off }, at),
                     TraceOp::LdAlu {
                         rd,
                         base,
@@ -1660,201 +1433,78 @@ impl Machine {
                         ard,
                         ara,
                         arb,
+                        alu_at,
                     } => {
-                        insns += 1;
-                        let addr = self.cpu.get(base).wrapping_add(off as u32);
-                        match self.mem.load_u32(addr, blocks) {
-                            Ok(v) => self.cpu.set(rd, v),
-                            Err(f) => {
-                                sync!();
-                                return Some(self.trace_fault(at, f.addr));
-                            }
-                        }
-                        insns += 1;
-                        let v = alu_nontrapping(op, self.cpu.get(ara), self.cpu.get(arb));
-                        self.cpu.set(ard, v);
+                        op!(Insn::Ld { rd, base, off }, at);
+                        op!(
+                            Insn::Alu {
+                                op,
+                                rd: ard,
+                                ra: ara,
+                                rb: arb
+                            },
+                            alu_at
+                        );
                     }
-                    TraceOp::Push { rs, at } => {
-                        insns += 1;
-                        let v = self.cpu.get(rs);
-                        if let Err(sig) = self.push(v) {
-                            sync!();
-                            self.cpu.eip = at;
-                            return Some(self.raise(sig));
-                        }
-                    }
-                    TraceOp::Pop { rd, at } => {
-                        insns += 1;
-                        match self.pop() {
-                            Ok(v) => self.cpu.set(rd, v),
-                            Err(sig) => {
-                                sync!();
-                                self.cpu.eip = at;
-                                return Some(self.raise(sig));
-                            }
-                        }
-                    }
-                    TraceOp::Enter { frame, at } => {
-                        insns += 1;
-                        let ebp = self.cpu.get(Gpr::Ebp);
-                        if let Err(sig) = self.push(ebp) {
-                            sync!();
-                            self.cpu.eip = at;
-                            return Some(self.raise(sig));
-                        }
-                        let esp = self.cpu.get(Gpr::Esp);
-                        self.cpu.set(Gpr::Ebp, esp);
-                        self.cpu.set(Gpr::Esp, esp.wrapping_sub(frame));
-                    }
-                    TraceOp::Leave { at } => {
-                        insns += 1;
-                        let ebp = self.cpu.get(Gpr::Ebp);
-                        self.cpu.set(Gpr::Esp, ebp);
-                        match self.pop() {
-                            Ok(saved) => self.cpu.set(Gpr::Ebp, saved),
-                            Err(sig) => {
-                                sync!();
-                                self.cpu.eip = at;
-                                return Some(self.raise(sig));
-                            }
-                        }
-                    }
+                    TraceOp::Push { rs, at } => op!(Insn::Push { rs }, at),
+                    TraceOp::Pop { rd, at } => op!(Insn::Pop { rd }, at),
+                    TraceOp::Enter { frame, at } => op!(Insn::Enter { frame }, at),
+                    TraceOp::Leave { at } => op!(Insn::Leave, at),
+                    TraceOp::Fpu { insn, at } => op!(@retire self.exec_fpu(insn, at, blocks), at),
                     TraceOp::CmpIJ {
                         ra,
                         imm,
+                        at,
                         cond,
                         target,
                         fall,
                         expect_taken,
                     } => {
-                        let a = self.cpu.get(ra);
-                        self.flags_from_sub(a, imm);
-                        insns += 2;
-                        blocks += 1;
-                        let taken = self.cond_holds(cond);
-                        self.cpu.eip = if taken { target } else { fall };
-                        if taken != expect_taken {
-                            if i != last {
-                                self.exec_stats.trace_side_exits += 1;
-                            }
-                            sync!();
-                            return None;
-                        }
+                        op!(Insn::CmpI { ra, imm }, at);
+                        branch!(i, cond, target, fall, expect_taken);
                     }
                     TraceOp::CmpJ {
                         ra,
                         rb,
+                        at,
                         cond,
                         target,
                         fall,
                         expect_taken,
                     } => {
-                        let (a, b) = (self.cpu.get(ra), self.cpu.get(rb));
-                        self.flags_from_sub(a, b);
-                        insns += 2;
-                        blocks += 1;
-                        let taken = self.cond_holds(cond);
-                        self.cpu.eip = if taken { target } else { fall };
-                        if taken != expect_taken {
-                            if i != last {
-                                self.exec_stats.trace_side_exits += 1;
-                            }
-                            sync!();
-                            return None;
-                        }
+                        op!(Insn::Cmp { ra, rb }, at);
+                        branch!(i, cond, target, fall, expect_taken);
                     }
                     TraceOp::Jmp {
                         cond,
                         target,
                         fall,
                         expect_taken,
-                    } => {
-                        insns += 1;
-                        blocks += 1;
-                        let taken = self.cond_holds(cond);
-                        self.cpu.eip = if taken { target } else { fall };
-                        if taken != expect_taken {
-                            if i != last {
-                                self.exec_stats.trace_side_exits += 1;
-                            }
-                            sync!();
-                            return None;
-                        }
-                    }
+                    } => branch!(i, cond, target, fall, expect_taken),
                     TraceOp::JmpU => {
                         insns += 1;
                         blocks += 1;
                     }
                     TraceOp::CallPush { ret, at } => {
-                        insns += 1;
                         blocks += 1;
-                        if let Err(sig) = self.push(ret) {
-                            sync!();
-                            self.cpu.eip = at;
-                            return Some(self.raise(sig));
-                        }
+                        op!(@retire self.push(ret), at);
                     }
                     TraceOp::RetTo { expect, at } => {
-                        insns += 1;
                         blocks += 1;
-                        match self.pop() {
-                            Ok(t) => {
-                                self.cpu.eip = t;
-                                if t != expect {
-                                    if i != last {
-                                        self.exec_stats.trace_side_exits += 1;
-                                    }
-                                    sync!();
-                                    return None;
-                                }
-                            }
-                            Err(sig) => {
-                                sync!();
-                                self.cpu.eip = at;
-                                return Some(self.raise(sig));
-                            }
-                        }
-                    }
-                    TraceOp::Fpu { insn, at } => {
-                        insns += 1;
-                        if let Err(sig) = self.exec_fpu(insn, at, blocks) {
-                            sync!();
-                            self.cpu.eip = at;
-                            return Some(self.raise(sig));
+                        let t = op!(@retire self.pop(), at);
+                        self.cpu.eip = t;
+                        if t != expect {
+                            side_exit!(i);
                         }
                     }
                     TraceOp::Exec {
                         insn,
                         at,
                         next,
-                        end,
-                    } => {
-                        insns += 1;
-                        if end {
-                            blocks += 1;
-                        }
-                        sync!();
-                        self.cpu.eip = at;
-                        match self.exec(insn, at, next) {
-                            Ok(None) => {
-                                insns = self.counters.insns;
-                                blocks = self.counters.blocks;
-                            }
-                            Ok(Some(exit)) => return Some(exit),
-                            Err(sig) => return Some(self.raise(sig)),
-                        }
-                    }
-                    TraceOp::ExecBranch {
-                        insn,
-                        at,
-                        next,
                         expect,
-                        end,
                     } => {
                         insns += 1;
-                        if end {
-                            blocks += 1;
-                        }
+                        blocks += 1;
                         sync!();
                         self.cpu.eip = at;
                         match self.exec(insn, at, next) {
@@ -1862,10 +1512,7 @@ impl Machine {
                                 insns = self.counters.insns;
                                 blocks = self.counters.blocks;
                                 if self.cpu.eip != expect {
-                                    if i != last {
-                                        self.exec_stats.trace_side_exits += 1;
-                                    }
-                                    return None;
+                                    side_exit!(i);
                                 }
                             }
                             Ok(Some(exit)) => return Some(exit),
@@ -1884,38 +1531,6 @@ impl Machine {
                 sync!();
                 return None;
             }
-        }
-    }
-
-    /// An inline trace op faulted: restore EIP to the faulting
-    /// instruction (where the interpreter leaves it) and raise.
-    fn trace_fault(&mut self, at: u32, addr: u32) -> Exit {
-        self.cpu.eip = at;
-        self.raise(Signal::Segv { addr })
-    }
-
-    /// Decode the straight-line run starting at `eip`, up to the first
-    /// block-ending instruction or a size cap. `None` if even the first
-    /// instruction cannot be fetched or decoded.
-    fn build_block(&mut self, eip: u32) -> Option<Block> {
-        const MAX_BLOCK_INSNS: usize = 64;
-        let now = self.counters.blocks;
-        let mut insns = Vec::new();
-        let mut a = eip;
-        while let Ok(words) = self.mem.fetch_words(a, now) {
-            let Ok((insn, len)) = decode_at(&words, 0) else {
-                break;
-            };
-            insns.push((insn, len as u8));
-            if insn.is_block_end() || insns.len() >= MAX_BLOCK_INSNS {
-                break;
-            }
-            a = a.wrapping_add(4 * len as u32);
-        }
-        if insns.is_empty() {
-            None
-        } else {
-            Some(Block { insns })
         }
     }
 
@@ -1957,22 +1572,16 @@ impl Machine {
         None
     }
 
-    /// Execute one instruction. `None` means keep going.
+    /// Execute one instruction — the reference interpreter. It decodes
+    /// through the same store as the block and superblock tiers, but
+    /// never enters them. `None` means keep going.
     pub fn step(&mut self) -> Option<Exit> {
         let eip = self.cpu.eip;
         let now = self.counters.blocks;
-
-        // Decode: through the shared pre-decoded store while the bank is
-        // pristine, else through the private i-cache (aligned text only).
-        let bank = self.code.bank(eip);
-        let cached = match (bank.idx(eip), &bank.shared) {
-            (Some(i), Some(s)) => s.insns[i],
-            (Some(i), None) => bank.icache.as_ref().and_then(|ic| ic.entries[i]),
-            (None, _) => None,
-        };
-        let (insn, len) = match cached {
+        let bank = &self.code.bank(eip).store;
+        let (insn, len) = match bank.idx(eip).and_then(|i| bank.insns[i]) {
             Some((insn, len)) => {
-                // Protection was checked when the cache entry was built and
+                // Protection was checked when the store was built and
                 // text is immutable to the program itself, so the fetch
                 // only needs repeating when access tracing wants to see it.
                 if self.mem.tracing_enabled() {
@@ -1982,24 +1591,16 @@ impl Machine {
                 }
                 (insn, len as usize)
             }
+            // Unaligned, outside the text banks, or a word the store
+            // could not decode: fetch raises SIGSEGV where there is no
+            // executable mapping, the decoder SIGILL otherwise.
             None => {
                 let words = match self.mem.fetch_words(eip, now) {
                     Ok(w) => w,
                     Err(f) => return Some(self.raise(Signal::Segv { addr: f.addr })),
                 };
                 match decode_at(&words, 0) {
-                    Ok((insn, len)) => {
-                        // A shared bank can never miss on a decodable word
-                        // (its text is pristine by construction), so an
-                        // insert only ever targets the private cache.
-                        let bank = self.code.bank_mut(eip);
-                        if bank.shared.is_none() {
-                            if let Some(i) = bank.idx(eip) {
-                                bank.icache_mut().entries[i] = Some((insn, len as u8));
-                            }
-                        }
-                        (insn, len)
-                    }
+                    Ok((insn, len)) => (insn, len),
                     Err(_) => return Some(self.raise(Signal::Ill { eip })),
                 }
             }
@@ -2031,10 +1632,53 @@ impl Machine {
         Exit::Signal(sig)
     }
 
+    /// Execute one instruction: the control transfers here, every other
+    /// opcode through [`Machine::exec_op`]. On a signal EIP still points
+    /// at the instruction.
     fn exec(&mut self, insn: Insn, eip: u32, next: u32) -> Result<Option<Exit>, Signal> {
         use Insn::*;
-        let now = self.counters.blocks;
-        let mut jumped = false;
+        match insn {
+            J { cond, target } => {
+                self.cpu.eip = if self.cond_holds(cond) { target } else { next };
+            }
+            JmpR { rs } => self.cpu.eip = self.cpu.get(rs),
+            Call { target } => {
+                self.push(next)?;
+                self.cpu.eip = target;
+            }
+            CallR { rs } => {
+                let t = self.cpu.get(rs);
+                self.push(next)?;
+                self.cpu.eip = t;
+            }
+            Ret => self.cpu.eip = self.pop()?,
+            Sys { num } => {
+                // EIP must already point past the SYS so MPI traps resume
+                // correctly.
+                self.cpu.eip = next;
+                return self.exec_sys(num, eip).map(Some).or_else(|e| match e {
+                    SysOutcome::Signal(s) => Err(s),
+                    SysOutcome::Continue => Ok(None),
+                });
+            }
+            Halt => return Ok(Some(Exit::Halted(self.cpu.get(Gpr::Eax) as i32))),
+            op => {
+                self.exec_op(op, eip, self.counters.blocks)?;
+                self.cpu.eip = next;
+            }
+        }
+        Ok(None)
+    }
+
+    /// The body of every opcode that is not a control transfer — the one
+    /// source of truth shared by the interpreter and the superblock tier,
+    /// whose inline arms call it with a constant variant so this `match`
+    /// folds away. `eip` is the instruction's address (for SIGFPE and the
+    /// FPU's `note_insn`), `now` the block clock for memory accesses. Never
+    /// reads or writes EIP: advancing it is the caller's business.
+    #[inline(always)]
+    fn exec_op(&mut self, insn: Insn, eip: u32, now: u64) -> Result<(), Signal> {
+        use Insn::*;
         match insn {
             Nop => {}
             MovI { rd, imm } => self.cpu.set(rd, imm),
@@ -2084,16 +1728,6 @@ impl Machine {
             CmpI { ra, imm } => {
                 let a = self.cpu.get(ra);
                 self.flags_from_sub(a, imm);
-            }
-            J { cond, target } => {
-                if self.cond_holds(cond) {
-                    self.cpu.eip = target;
-                    jumped = true;
-                }
-            }
-            JmpR { rs } => {
-                self.cpu.eip = self.cpu.get(rs);
-                jumped = true;
             }
             Ld { rd, base, off } => {
                 let addr = self.cpu.get(base).wrapping_add(off as u32);
@@ -2146,22 +1780,6 @@ impl Machine {
                 let v = self.pop()?;
                 self.cpu.set(rd, v);
             }
-            Call { target } => {
-                self.push(next)?;
-                self.cpu.eip = target;
-                jumped = true;
-            }
-            CallR { rs } => {
-                let t = self.cpu.get(rs);
-                self.push(next)?;
-                self.cpu.eip = t;
-                jumped = true;
-            }
-            Ret => {
-                let t = self.pop()?;
-                self.cpu.eip = t;
-                jumped = true;
-            }
             Enter { frame } => {
                 let ebp = self.cpu.get(Gpr::Ebp);
                 self.push(ebp)?;
@@ -2175,26 +1793,14 @@ impl Machine {
                 let saved = self.pop()?;
                 self.cpu.set(Gpr::Ebp, saved);
             }
-            Sys { num } => {
-                // EIP must already point past the SYS so MPI traps resume
-                // correctly.
-                self.cpu.eip = next;
-                return self.exec_sys(num, eip).map(Some).or_else(|e| match e {
-                    SysOutcome::Signal(s) => Err(s),
-                    SysOutcome::Continue => Ok(None),
-                });
+            J { .. } | JmpR { .. } | Call { .. } | CallR { .. } | Ret | Sys { .. } | Halt => {
+                unreachable!("control transfer {insn:?} routed to exec_op")
             }
-            Halt => return Ok(Some(Exit::Halted(self.cpu.get(Gpr::Eax) as i32))),
-
-            // --- FPU: dispatched through `exec_fpu`, which the
-            // superblock fast path also calls directly (one source of
-            // truth for the op bodies, minus this interpreter frame).
-            other => self.exec_fpu(other, eip, now)?,
+            // The FPU family: `exec_fpu` is the one body, which the
+            // superblock tier's FPU arm also calls directly.
+            fpu => self.exec_fpu(fpu, eip, now)?,
         }
-        if !jumped {
-            self.cpu.eip = next;
-        }
-        Ok(None)
+        Ok(())
     }
 
     /// Execute one FPU instruction. Shared verbatim between the
@@ -2508,15 +2114,19 @@ impl Machine {
 
     // --- fault-injection interface (the `ptrace` analogue, §3.1) ---------
 
-    /// Privileged memory write; keeps the decode caches coherent. A
-    /// poke landing in a shared text bank demotes it to private caches
-    /// (copy-on-poke); private caches invalidate per-word and flush
-    /// blocks coarsely, as before (pokes happen at injection rate).
+    /// Privileged memory write; keeps the decoded code coherent. A poke
+    /// landing in a text bank re-decodes that bank alone into a private
+    /// store (copy-on-poke, pokes happen at injection rate); the store it
+    /// replaces, possibly shared campaign-wide, is left untouched.
     pub fn poke_mem(&mut self, addr: u32, data: &[u8]) {
         self.mem.poke(addr, data);
         let end = addr.saturating_add(data.len() as u32);
-        self.code.app.poke(addr, end, &mut self.exec_stats);
-        self.code.lib.poke(addr, end, &mut self.exec_stats);
+        self.code
+            .app
+            .poke(&self.mem, addr, end, &mut self.exec_stats);
+        self.code
+            .lib
+            .poke(&self.mem, addr, end, &mut self.exec_stats);
     }
 
     /// Flip one bit of memory (privileged).
@@ -2619,9 +2229,9 @@ impl Machine {
     /// (GPRs, EFLAGS, EIP, full FPU), memory (COW page table + region
     /// map), malloc-runtime records, console/output buffers, counters
     /// and budget. Decoded code is *not* architectural state — the
-    /// snapshot only carries the shared-store handles (if the banks are
-    /// still pristine) so forks start with warm caches; demoted banks
-    /// hand their forks cold private caches that refill lazily.
+    /// snapshot only carries the handles of the banks' current stores
+    /// (the shared ones, or a poked bank's private re-decode), so forks
+    /// start with warm caches that match their text.
     pub fn snapshot(&self) -> MachineSnapshot {
         MachineSnapshot {
             cpu: self.cpu.clone(),
@@ -2636,8 +2246,8 @@ impl Machine {
             text_end: self.text_end,
             lib_text_end: self.lib_text_end,
             code: CodeHandle {
-                app: self.code.app.shared.clone(),
-                lib: self.code.lib.shared.clone(),
+                app: self.code.app.store.clone(),
+                lib: self.code.lib.store.clone(),
             },
             min_esp: self.min_esp,
             syscall_fault: self.syscall_fault,
@@ -2649,15 +2259,17 @@ impl Machine {
     }
 }
 
-/// The shared-store handles a [`MachineSnapshot`] carries so forked
-/// machines start with warm decoded caches. A pure performance
-/// artifact: `PartialEq` ignores it entirely — two snapshots are
-/// architecturally equal whether their forks will run warm or cold —
-/// mirroring how `MemorySnapshot` equality ignores the fastpath flag.
-#[derive(Clone, Default)]
+/// The decoded-store handles a [`MachineSnapshot`] carries so forked
+/// machines decode through the same stores as their origin: the shared
+/// ones for pristine banks, the origin's private re-decode for poked
+/// ones. Decoded code is derived from the text bytes, so `PartialEq`
+/// ignores it entirely — two snapshots are architecturally equal
+/// whichever stores their forks will use — mirroring how
+/// `MemorySnapshot` equality ignores the fastpath flag.
+#[derive(Clone)]
 pub struct CodeHandle {
-    app: Option<Arc<SharedBank>>,
-    lib: Option<Arc<SharedBank>>,
+    app: Arc<SharedBank>,
+    lib: Arc<SharedBank>,
 }
 
 impl PartialEq for CodeHandle {
@@ -2669,8 +2281,8 @@ impl PartialEq for CodeHandle {
 impl std::fmt::Debug for CodeHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CodeHandle")
-            .field("app_warm", &self.app.is_some())
-            .field("lib_warm", &self.lib.is_some())
+            .field("app_private", &self.app.private)
+            .field("lib_private", &self.lib.private)
             .finish()
     }
 }
@@ -2693,8 +2305,8 @@ pub struct MachineSnapshot {
     pub budget: u64,
     pub text_end: u32,
     pub lib_text_end: u32,
-    /// Shared decoded-code handles (warm-cache fork); compares equal
-    /// regardless of warmth.
+    /// Decoded-store handles (warm-cache fork); compares equal
+    /// regardless of which stores they are.
     pub code: CodeHandle,
     pub min_esp: u32,
     pub syscall_fault: Option<SyscallFault>,
@@ -2707,16 +2319,10 @@ pub struct MachineSnapshot {
 impl MachineSnapshot {
     /// Materialise a runnable [`Machine`] from this snapshot. Memory
     /// pages are shared copy-on-write with the snapshot (and with every
-    /// other machine forked from it); decoded code reattaches warm from
-    /// the shared store when the snapshot carries the handles, else the
-    /// private caches start cold and refill on execution.
+    /// other machine forked from it); decoded code reattaches warm to
+    /// the stores the snapshot carries, promoted superblocks included
+    /// (promotion heat starts from zero).
     pub fn to_machine(&self) -> Machine {
-        let text_len = (self.text_end - TEXT_BASE).max(4);
-        let lib_text_len = (self.lib_text_end - LIB_BASE).max(4);
-        let bank = |base: u32, len: u32, shared: &Option<Arc<SharedBank>>| match shared {
-            Some(s) => CacheBank::warm(base, len, s.clone()),
-            None => CacheBank::cold(base, len),
-        };
         Machine {
             cpu: self.cpu.clone(),
             mem: self.mem.to_memory(),
@@ -2731,8 +2337,8 @@ impl MachineSnapshot {
             text_end: self.text_end,
             lib_text_end: self.lib_text_end,
             code: CodeCache {
-                app: bank(TEXT_BASE, text_len, &self.code.app),
-                lib: bank(LIB_BASE, lib_text_len, &self.code.lib),
+                app: CacheBank::new(self.code.app.clone()),
+                lib: CacheBank::new(self.code.lib.clone()),
             },
             min_esp: self.min_esp,
             syscall_fault: self.syscall_fault,
@@ -3272,7 +2878,7 @@ mod tests {
         use Gpr::*;
         let img = image(&[Insn::MovI { rd: Eax, imm: 5 }, Insn::Halt]);
         let mut m = Machine::load(&img, MachineConfig::default());
-        // Run once partially to warm the i-cache, then rewind.
+        // Run once unpoked, then reload.
         assert!(matches!(m.run(100), Exit::Halted(5)));
 
         let mut m = Machine::load(&img, MachineConfig::default());
@@ -3282,7 +2888,7 @@ mod tests {
     }
 
     #[test]
-    fn icache_invalidation_after_poke() {
+    fn poked_opcode_is_seen_after_a_step() {
         use Gpr::*;
         let img = image(&[
             Insn::MovI { rd: Eax, imm: 5 },
@@ -3293,7 +2899,7 @@ mod tests {
             Insn::Halt,
         ]);
         let mut m = Machine::load(&img, MachineConfig::default());
-        // Execute the MovI once (warming the cache) via single steps.
+        // Execute the MovI once via single steps.
         assert!(m.step().is_none());
         // Now corrupt the MovI opcode to an illegal value and jump back.
         m.poke_mem(TEXT_BASE, &[0x00]);
@@ -3302,7 +2908,7 @@ mod tests {
     }
 
     #[test]
-    fn block_cache_invalidation_after_poke() {
+    fn poked_opcode_is_seen_inside_a_hot_loop() {
         use Gpr::*;
         let img = image(&[
             Insn::MovI { rd: Eax, imm: 5 },
@@ -3312,10 +2918,10 @@ mod tests {
             },
         ]);
         let mut m = Machine::load(&img, MachineConfig::default());
-        // Warm the block cache through the fast path (one quantum spins
-        // the MovI+J loop several times).
+        // Run the MovI+J loop through the fast path (one quantum spins
+        // it several times).
         assert_eq!(m.run(10), Exit::Quantum);
-        // Corrupt the MovI opcode; the next dispatch of the cached block
+        // Corrupt the MovI opcode; the next dispatch of the loop's block
         // must see the poke and raise SIGILL at the corrupted address.
         m.poke_mem(TEXT_BASE, &[0x00]);
         m.cpu.eip = TEXT_BASE;
@@ -3409,5 +3015,61 @@ mod tests {
         let mut m = Machine::load(&img, MachineConfig::default());
         m.flip_register_bit(RegisterName::Eip, 30);
         assert!(matches!(m.run(10), Exit::Signal(Signal::Segv { .. })));
+    }
+
+    /// Every aligned word of a bank's store is whatever `step()` would
+    /// get from `Memory::fetch_words` + `decode_at` at that address —
+    /// or `None` where either fails.
+    fn assert_store_matches_fetch(m: &mut Machine) {
+        for bank in [m.code.app.store.clone(), m.code.lib.store.clone()] {
+            for (i, &decoded) in bank.insns.iter().enumerate() {
+                let addr = bank.base + 4 * i as u32;
+                let fetched = m
+                    .mem
+                    .fetch_words(addr, 0)
+                    .ok()
+                    .and_then(|w| decode_at(&w, 0).ok())
+                    .map(|(insn, len)| (insn, len as u8));
+                assert_eq!(decoded, fetched, "word at {addr:#x}");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(128))]
+
+        /// Pre-decode ≡ fetch + decode, on random text of any length
+        /// (so the end-of-section lookahead and a partial last word are
+        /// covered), and again on the private store a random poke
+        /// re-decodes.
+        #[test]
+        fn predecode_matches_fetch_and_decode(
+            words in proptest::collection::vec(proptest::arbitrary::any::<u32>(), 1..24),
+            valid in proptest::collection::vec(proptest::arbitrary::any::<bool>(), 24),
+            cut in 0usize..4,
+            poke_at in 0u32..100,
+            poke in proptest::collection::vec(proptest::arbitrary::any::<u8>(), 1..6),
+        ) {
+            // Mix raw words with re-encoded decodable ones, so both
+            // halves of the store (Some and None) are exercised.
+            let mut text = Vec::new();
+            for (w, v) in words.iter().zip(&valid) {
+                match fl_isa::decode(&[*w, *w]) {
+                    Ok((insn, _)) if *v => text.extend(encode(&insn).to_bytes()),
+                    _ => text.extend(w.to_le_bytes()),
+                }
+            }
+            text.truncate(text.len().saturating_sub(cut));
+            let mut img = image(&[]);
+            img.text = text;
+            let mut m = Machine::load(&img, MachineConfig::default());
+            assert_store_matches_fetch(&mut m);
+            let demotions = m.exec_stats.demotions;
+            m.poke_mem(TEXT_BASE + poke_at, &poke);
+            let hit = poke_at < img.text.len().max(4) as u32;
+            proptest::prop_assert_eq!(m.code.app.store.private, hit);
+            proptest::prop_assert_eq!(m.exec_stats.demotions, demotions + hit as u64);
+            assert_store_matches_fetch(&mut m);
+        }
     }
 }

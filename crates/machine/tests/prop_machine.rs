@@ -79,6 +79,407 @@ fn image_from_bytes(text: Vec<u8>) -> ProgramImage {
     }
 }
 
+/// SplitMix64, seeded per case: draws the fuzzer's programs and plans.
+struct Gen(u64);
+
+impl Gen {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+
+    fn pick<T: Copy>(&mut self, xs: &[T]) -> T {
+        xs[self.below(xs.len() as u64) as usize]
+    }
+}
+
+/// One generated loop-body element.
+enum Item {
+    /// A straight-line instruction (or a fused `Ld`→`Alu` pair).
+    Ops(Vec<fl_isa::Insn>),
+    /// `Cmp`/`CmpI` + a forward conditional branch over the next item.
+    Skip(fl_isa::Insn, fl_isa::Cond),
+    /// A direct call to the leaf routine.
+    Call,
+}
+
+/// A random non-control instruction — every opcode family `exec_op`
+/// and `exec_fpu` implement. Destinations are the scratch registers
+/// only, so the loop counter (ECX) and the data/bss pointers (ESI/EDI)
+/// survive; memory operands are mostly in bounds (data, bss, the stack
+/// frame) and occasionally wild.
+fn random_op(g: &mut Gen, data_base: u32, bss_base: u32, iters: u32) -> Vec<fl_isa::Insn> {
+    use fl_isa::insn::{AluOp, FpuBinOp, FpuUnOp};
+    use fl_isa::Insn::*;
+    use Gpr::*;
+    const ALU: [AluOp; 11] = [
+        AluOp::Add,
+        AluOp::Sub,
+        AluOp::Mul,
+        AluOp::Div,
+        AluOp::Mod,
+        AluOp::And,
+        AluOp::Or,
+        AluOp::Xor,
+        AluOp::Shl,
+        AluOp::Shr,
+        AluOp::Sar,
+    ];
+    let scratch = [Eax, Ebx, Edx];
+    let src = [Eax, Ebx, Edx, Ecx, Esi, Edi];
+    let wild = g.below(64) == 0;
+    // A (base, offset) memory operand.
+    let mem = |g: &mut Gen| -> (Gpr, i32) {
+        if wild {
+            // Offsets are 12-bit signed immediates.
+            return (g.pick(&src), g.below(4096) as i32 - 2048);
+        }
+        match g.below(3) {
+            0 => (Esi, 4 * g.below(62) as i32),
+            1 => (Edi, 4 * g.below(62) as i32),
+            _ => (Ebp, -4 * (1 + g.below(15) as i32)),
+        }
+    };
+    let abs = |g: &mut Gen| {
+        if wild {
+            g.next() as u32
+        } else {
+            g.pick(&[data_base, bss_base]) + 4 * g.below(62) as u32
+        }
+    };
+    let imm = |g: &mut Gen| {
+        let any = g.next() as u32;
+        g.pick(&[0, 1, 2, 7, u32::MAX, any])
+    };
+    match g.below(30) {
+        0 => vec![Nop],
+        1 => vec![MovI {
+            rd: g.pick(&scratch),
+            imm: imm(g),
+        }],
+        2 => vec![Mov {
+            rd: g.pick(&scratch),
+            rs: g.pick(&src),
+        }],
+        3..=5 => vec![Alu {
+            op: g.pick(&ALU),
+            rd: g.pick(&scratch),
+            ra: g.pick(&src),
+            rb: g.pick(&src),
+        }],
+        // A divide whose divisor counts down to zero mid-loop, plain or
+        // as the ALU half of a fused load + ALU pair.
+        6 => {
+            let mut ops = vec![AddI {
+                rd: Edx,
+                ra: Ecx,
+                imm: (g.below(iters as u64 + 8) as u32).wrapping_neg(),
+            }];
+            if g.below(2) == 0 {
+                let (base, off) = mem(g);
+                ops.push(Ld {
+                    rd: g.pick(&[Eax, Ebx]),
+                    base,
+                    off,
+                });
+            }
+            ops.push(Alu {
+                op: g.pick(&[AluOp::Div, AluOp::Mod]),
+                rd: g.pick(&[Eax, Ebx]),
+                ra: g.pick(&src),
+                rb: Edx,
+            });
+            ops
+        }
+        7 => vec![AddI {
+            rd: g.pick(&scratch),
+            ra: g.pick(&src),
+            imm: imm(g),
+        }],
+        8 => vec![MulI {
+            rd: g.pick(&scratch),
+            ra: g.pick(&src),
+            imm: imm(g),
+        }],
+        9 => vec![Cmp {
+            ra: g.pick(&src),
+            rb: g.pick(&src),
+        }],
+        10 => vec![CmpI {
+            ra: g.pick(&src),
+            imm: imm(g),
+        }],
+        11 => {
+            let (base, off) = mem(g);
+            vec![Ld {
+                rd: g.pick(&scratch),
+                base,
+                off,
+            }]
+        }
+        12 => {
+            let (base, off) = mem(g);
+            vec![St {
+                rb: g.pick(&src),
+                base,
+                off,
+            }]
+        }
+        13 => vec![LdG {
+            rd: g.pick(&scratch),
+            addr: abs(g),
+        }],
+        14 => vec![StG {
+            rs: g.pick(&src),
+            addr: abs(g),
+        }],
+        15 => {
+            let (base, off) = mem(g);
+            vec![LdB {
+                rd: g.pick(&scratch),
+                base,
+                off: off + g.below(4) as i32,
+            }]
+        }
+        16 => {
+            let (base, off) = mem(g);
+            vec![StB {
+                rb: g.pick(&src),
+                base,
+                off: off + g.below(4) as i32,
+            }]
+        }
+        // Balanced pairs mostly, so the loop survives to promote.
+        17 | 18 => match g.below(8) {
+            0 => vec![Push { rs: g.pick(&src) }],
+            1 => vec![Pop {
+                rd: g.pick(&scratch),
+            }],
+            _ => vec![
+                Push { rs: g.pick(&src) },
+                Pop {
+                    rd: g.pick(&scratch),
+                },
+            ],
+        },
+        19 | 20 => match g.below(8) {
+            0 => vec![Leave],
+            _ => vec![
+                Enter {
+                    frame: 4 * g.below(8) as u32,
+                },
+                Leave,
+            ],
+        },
+        // The fused load + ALU idiom, Ld→Div/Mod included.
+        21 | 22 => {
+            let (base, off) = mem(g);
+            let rd = g.pick(&scratch);
+            vec![
+                Ld { rd, base, off },
+                Alu {
+                    op: g.pick(&ALU),
+                    rd: g.pick(&scratch),
+                    ra: g.pick(&src),
+                    rb: g.pick(&src),
+                },
+            ]
+        }
+        _ => {
+            let (base, off) = mem(g);
+            vec![match g.below(17) {
+                0 => Fld { base, off },
+                1 => FldG { addr: abs(g) },
+                2 => Fst { base, off },
+                3 => Fstp { base, off },
+                4 => FstpG { addr: abs(g) },
+                5 => Fild { base, off },
+                6 => Fistp { base, off },
+                7 => FildR { rs: g.pick(&src) },
+                8 => FistpR {
+                    rd: g.pick(&scratch),
+                },
+                9 => Fldz,
+                10 => Fld1,
+                11 => Fbinp {
+                    op: g.pick(&[
+                        FpuBinOp::Add,
+                        FpuBinOp::Sub,
+                        FpuBinOp::SubR,
+                        FpuBinOp::Mul,
+                        FpuBinOp::Div,
+                        FpuBinOp::DivR,
+                    ]),
+                },
+                12 => Funop {
+                    op: g.pick(&[
+                        FpuUnOp::Chs,
+                        FpuUnOp::Abs,
+                        FpuUnOp::Sqrt,
+                        FpuUnOp::Sin,
+                        FpuUnOp::Cos,
+                        FpuUnOp::Exp,
+                        FpuUnOp::Ln,
+                    ]),
+                },
+                13 => Fxch {
+                    i: g.below(8) as u8,
+                },
+                14 => FldSt {
+                    i: g.below(8) as u8,
+                },
+                15 => Fcomip,
+                _ => Fpop,
+            }]
+        }
+    }
+}
+
+/// A generated program for the tier fuzzer: a prologue pointing ESI at
+/// data and EDI at bss, a hot counted loop (`CmpI`+`J` backward, enough
+/// iterations to promote to a superblock) over random body items, and
+/// optionally a leaf routine ending in `Ret` that the body calls.
+/// Returns the image and the loop body's text range.
+fn random_loop_program(g: &mut Gen) -> (ProgramImage, u32, u32) {
+    use fl_isa::{Cond, Insn};
+    let probe = image_from_bytes(vec![0; 4]);
+    let (data_base, bss_base) = (probe.data_base(), probe.bss_base());
+    let iters = 20 + g.below(60) as u32;
+    let has_leaf = g.below(2) == 0;
+    let mut body = Vec::new();
+    for _ in 0..2 + g.below(10) {
+        body.push(match g.below(8) {
+            0 => {
+                let cmp = if g.below(2) == 0 {
+                    Insn::Cmp {
+                        ra: g.pick(&[Gpr::Eax, Gpr::Ebx, Gpr::Ecx]),
+                        rb: g.pick(&[Gpr::Eax, Gpr::Edx, Gpr::Ecx]),
+                    }
+                } else {
+                    Insn::CmpI {
+                        ra: g.pick(&[Gpr::Eax, Gpr::Ebx, Gpr::Ecx]),
+                        imm: g.below(iters as u64) as u32,
+                    }
+                };
+                let cond = g.pick(&[
+                    Cond::Eq,
+                    Cond::Ne,
+                    Cond::Lt,
+                    Cond::Le,
+                    Cond::Gt,
+                    Cond::Ge,
+                    Cond::B,
+                    Cond::Ae,
+                    Cond::Be,
+                    Cond::A,
+                ]);
+                Item::Skip(cmp, cond)
+            }
+            1 if has_leaf => Item::Call,
+            _ => Item::Ops(random_op(g, data_base, bss_base, iters)),
+        });
+    }
+    let leaf: Vec<Insn> = (0..1 + g.below(4))
+        .flat_map(|_| random_op(g, data_base, bss_base, iters))
+        .collect();
+
+    // Lay out with placeholder targets, then patch: every instruction's
+    // length is independent of its target.
+    let words = |i: &Insn| fl_isa::encode(i).to_bytes().len() as u32 / 4;
+    let mut prog = vec![Insn::Enter { frame: 64 }];
+    for (rd, imm) in [
+        (Gpr::Esi, data_base),
+        (Gpr::Edi, bss_base),
+        (Gpr::Ecx, 0),
+        (Gpr::Eax, g.next() as u32),
+        (Gpr::Ebx, g.pick(&[1, 3, 0x8000_0000])),
+        (Gpr::Edx, g.pick(&[1, 5, u32::MAX])),
+    ] {
+        prog.push(Insn::MovI { rd, imm });
+    }
+    let loop_head = prog.len();
+    prog.push(Insn::AddI {
+        rd: Gpr::Ecx,
+        ra: Gpr::Ecx,
+        imm: 1,
+    });
+    // (index of a J/Call, index of its target instruction)
+    let mut fixups: Vec<(usize, usize)> = Vec::new();
+    let mut calls = Vec::new();
+    let mut pending_skip: Option<usize> = None;
+    for item in &body {
+        let start = prog.len();
+        match item {
+            Item::Ops(ops) => prog.extend(ops.iter().copied()),
+            Item::Skip(cmp, cond) => {
+                prog.push(*cmp);
+                prog.push(Insn::J {
+                    cond: *cond,
+                    target: 0,
+                });
+            }
+            Item::Call => {
+                calls.push(prog.len());
+                prog.push(Insn::Call { target: 0 });
+            }
+        }
+        // A skip jumps over the item after it.
+        if let Some(j) = pending_skip.take() {
+            fixups.push((j, prog.len()));
+        }
+        if matches!(item, Item::Skip(..)) {
+            pending_skip = Some(start + 1);
+        }
+    }
+    if let Some(j) = pending_skip {
+        fixups.push((j, prog.len()));
+    }
+    let body_end = prog.len();
+    prog.push(Insn::CmpI {
+        ra: Gpr::Ecx,
+        imm: iters,
+    });
+    prog.push(Insn::J {
+        cond: Cond::Lt,
+        target: 0,
+    });
+    fixups.push((prog.len() - 1, loop_head));
+    prog.push(Insn::Leave);
+    prog.push(Insn::Halt);
+    let leaf_at = prog.len();
+    prog.extend(leaf);
+    prog.push(Insn::Ret);
+    for c in calls {
+        fixups.push((c, leaf_at));
+    }
+
+    let mut addr = Vec::with_capacity(prog.len() + 1);
+    let mut a = TEXT_BASE;
+    for i in &prog {
+        addr.push(a);
+        a += 4 * words(i);
+    }
+    addr.push(a);
+    for (at, to) in fixups {
+        match &mut prog[at] {
+            Insn::J { target, .. } | Insn::Call { target } => *target = addr[to],
+            other => unreachable!("fixup on {other:?}"),
+        }
+    }
+    let mut text = Vec::new();
+    for i in &prog {
+        text.extend(fl_isa::encode(i).to_bytes());
+    }
+    (image_from_bytes(text), addr[loop_head], addr[body_end])
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -195,8 +596,8 @@ proptest! {
                 }
             }
             // The injection plan: one register flip, one memory flip,
-            // one multi-byte text poke (exercises icache + block-cache
-            // invalidation and the TLB's poke contract).
+            // one multi-byte text poke (exercises the copy-on-poke
+            // re-decode and the TLB's poke contract).
             let regs: Vec<RegisterName> = Gpr::ALL
                 .iter()
                 .map(|&g| RegisterName::Gpr(g))
@@ -237,7 +638,7 @@ proptest! {
     }
 
     /// Poke text *inside* a promoted, actively-running superblock: the
-    /// bank must demote to private caches (copy-on-poke) and keep
+    /// bank must demote to a private store (copy-on-poke) and keep
     /// retiring bit-identically with a slow twin, fork/restore included.
     #[test]
     fn poke_inside_hot_trace_matches_slow(
@@ -340,5 +741,89 @@ proptest! {
         prop_assert!(v1.is_nan() && v2.is_nan() || v1.to_bits() == v2.to_bits());
         let _ = f.flip_bit(flip).to_f64();
         let _ = f.classify();
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// The differential tier fuzzer: a generated hot-loop program (see
+    /// `random_loop_program`) run on the fast path — blocks, then
+    /// promoted superblocks — and on the reference interpreter under
+    /// one random quantum schedule must agree on the exit and the full
+    /// architectural snapshot after *every* `run(quantum)`. At random
+    /// instruction counts both take a register flip and two one-byte
+    /// text pokes into the loop body (the second re-decodes a bank the
+    /// first already made private), and a snapshot fork whose origin and
+    /// restored machines both continue — in step with each other, too.
+    #[test]
+    fn tiers_agree_with_the_interpreter_on_generated_loops(seed in any::<u64>()) {
+        let mut g = Gen(seed);
+        let (img, body_lo, body_hi) = random_loop_program(&mut g);
+        let quanta: Vec<u64> = (0..1 + g.below(6))
+            .map(|_| match g.below(2) {
+                0 => 1 + g.below(64),
+                _ => 64 + g.below(1500),
+            })
+            .collect();
+        let regs: Vec<RegisterName> = Gpr::ALL
+            .iter()
+            .map(|&r| RegisterName::Gpr(r))
+            .chain([RegisterName::Eip, RegisterName::Eflags])
+            .collect();
+        let (reg, bit) = (g.pick(&regs), g.below(32) as u32);
+        let mut poke = || (body_lo + g.below((body_hi - body_lo) as u64) as u32, g.next() as u8);
+        let pokes = [poke(), poke()];
+        // (instruction count, event): 0 = flip, 1/2 = pokes, 3 = fork.
+        // Most generated loops retire a few hundred instructions.
+        let poke1_at = g.below(600);
+        let mut plan = [
+            (g.below(800), 0),
+            (poke1_at, 1),
+            (poke1_at + 1 + g.below(500), 2),
+            (g.below(800), 3),
+        ];
+        plan.sort();
+        let cfg = |fastpath| MachineConfig { budget: 20_000, fastpath, ..Default::default() };
+        // (fast, slow, exited) per lineage: the origin, then the fork.
+        let mut lines = vec![(Machine::load(&img, cfg(true)), Machine::load(&img, cfg(false)), false)];
+        let mut next = 0;
+        for run in 0.. {
+            // Lineages run in step, so any live one tells the clock.
+            let Some(now) = lines.iter().find(|l| !l.2).map(|l| l.0.counters.insns) else {
+                break;
+            };
+            while let Some(&(_, event)) = plan.get(next).filter(|(at, _)| *at <= now) {
+                next += 1;
+                if event == 3 {
+                    if !lines[0].2 {
+                        let fork = (lines[0].0.snapshot().to_machine(), lines[0].1.snapshot().to_machine(), false);
+                        lines.push(fork);
+                    }
+                    continue;
+                }
+                for (fast, slow, _) in lines.iter_mut().filter(|l| !l.2) {
+                    for m in [fast, slow] {
+                        match event {
+                            0 => m.flip_register_bit(reg, bit),
+                            _ => m.poke_mem(pokes[event - 1].0, &[pokes[event - 1].1]),
+                        }
+                    }
+                }
+            }
+            let mut q = quanta[run % quanta.len()];
+            if let Some(&(at, _)) = plan.get(next) {
+                q = q.min(at - now);
+            }
+            for (fast, slow, done) in lines.iter_mut().filter(|l| !l.2) {
+                let (ef, es) = (fast.run(q), slow.run(q));
+                prop_assert_eq!(&ef, &es, "exit after run #{}", run);
+                prop_assert_eq!(fast.snapshot(), slow.snapshot(), "state after run #{}", run);
+                *done = ef != Exit::Quantum;
+            }
+            if let [(origin, ..), (fork, ..)] = &lines[..] {
+                prop_assert_eq!(origin.snapshot(), fork.snapshot(), "fork diverged after run #{}", run);
+            }
+        }
     }
 }

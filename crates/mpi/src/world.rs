@@ -589,7 +589,9 @@ impl MpiWorld {
     /// Like [`MpiWorld::new`], but attach an existing campaign-wide
     /// [`SharedCode`] store (which must have been built from `image`)
     /// so decoded blocks and promoted superblocks carry over between
-    /// worlds instead of being rebuilt per world.
+    /// worlds instead of being rebuilt per world. With `None`, one fresh
+    /// store is built for all ranks, whatever the machine configuration
+    /// (every machine decodes through a store).
     pub fn new_with_code(
         image: &ProgramImage,
         cfg: WorldConfig,
@@ -606,16 +608,15 @@ impl MpiWorld {
         // (ranks run identical text).
         let owned;
         let code = match code {
-            Some(c) => Some(c),
-            None if cfg.machine.fastpath && !cfg.machine.trace => {
+            Some(c) => c,
+            None => {
                 owned = SharedCode::build(image);
-                Some(&owned)
+                &owned
             }
-            None => None,
         };
         let ranks = (0..cfg.nranks)
             .map(|_| Rank {
-                machine: Machine::load_shared(image, cfg.machine, code),
+                machine: Machine::load_shared(image, cfg.machine, Some(code)),
                 status: Status::Ready,
                 errhandler: false,
                 arrived: VecDeque::new(),
